@@ -41,21 +41,10 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
         raise NotPrimePower(f"field size must be >= 2, got {q}")
     if q > _Q_CAP:
         raise TooLarge(f"field size {q} exceeds the cap {_Q_CAP}")
-    n = q
-    p = None
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            p = d
-            while n % d == 0:
-                n //= d
-            break
-        d += 1
-    if p is None:
-        p = q  # q itself is prime
-        n = 1
-    if n != 1:
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise NotPrimePower(f"{q} is not a prime power")
+    p = factors[0]
     m = round(math.log(q, p))
     assert p**m == q
     return p, m
@@ -75,21 +64,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-# Coefficient tuples over GF(p), lowest degree first, used only while building
-# a field's modulus (before any Field exists).
-
-
-def _gfp_rem(num: list[int], den: tuple[int, ...], p: int) -> bool:
-    """True iff den (monic) divides num; num is clobbered."""
-    dd = len(den) - 1
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            for j, dj in enumerate(den):
-                num[i - dd + j] = (num[i - dd + j] - c * dj) % p
-    return not any(num[:dd])
-
-
 def _digits(v: int, p: int, m: int) -> tuple[int, ...]:
     out = []
     for _ in range(m):
@@ -102,15 +76,24 @@ def _monic_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Deterministic modulus: the first monic irreducible of degree m over
     GF(p) when non-leading coefficient vectors are scanned in ascending
     integer encoding sum(c_i * p^i)."""
+    fp = field_make(p)
     divisors = []
     for d in range(1, m // 2 + 1):
         for low in range(p**d):
-            divisors.append(_digits(low, p, d) + (1,))
+            divisors.append(Poly(fp, _digits(low, p, d) + (1,)))
     for low in range(p**m):
-        cand = _digits(low, p, m) + (1,)
-        if all(not _gfp_rem(list(cand), g, p) for g in divisors):
-            return cand
+        cand = Poly(fp, _digits(low, p, m) + (1,))
+        if not any(poly_divides(g, cand) for g in divisors):
+            return cand.coeffs
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+def _json_int(value, what: str) -> int:
+    """An integer read from a JSON document; floats, strings and bools are
+    rejected rather than converted."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise BadParameters(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class Field:
@@ -120,7 +103,7 @@ class Field:
     sizes share one (immutable, table-backed) instance.
     """
 
-    __slots__ = ("q", "p", "m", "modulus", "_exp", "_log", "_gen", "_dig")
+    __slots__ = ("q", "p", "m", "modulus", "_exp", "_log", "_gen", "_zech")
 
     def __init__(self, q: int):
         p, m = _factor_prime_power(q)
@@ -128,7 +111,6 @@ class Field:
         self.p = p
         self.m = m
         self.modulus: tuple[int, ...] = _monic_irreducible(p, m) if m > 1 else ()
-        self._dig = [_digits(v, p, m) for v in range(q)] if (m > 1 and p != 2) else None
         self._build_tables()
 
     # -- construction of exp/log tables ---------------------------------
@@ -185,6 +167,14 @@ class Field:
         self._gen = gen
         self._exp = exp
         self._log = log
+        # Zech logarithms for odd-characteristic extension fields:
+        # 1 + alpha^n = alpha^zech[n], with -1 marking 1 + alpha^n = 0.
+        self._zech = None
+        if self.m > 1 and self.p != 2:
+            p = self.p
+            # adding 1 only changes the lowest base-p digit
+            plus_one = [x + 1 if x % p != p - 1 else x + 1 - p for x in exp[: q - 1]]
+            self._zech = [log[y] if y else -1 for y in plus_one]
 
     # -- element arithmetic ----------------------------------------------
 
@@ -199,33 +189,39 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        da, db, p = self._dig[a], self._dig[b], self.p
-        v = 0
-        for x, y in zip(reversed(da), reversed(db)):
-            v = v * p + (x + y) % p
-        return v
+        if not a:
+            return b
+        if not b:
+            return a
+        # a + b = alpha^i (1 + alpha^(j-i))
+        i = self._log[a]
+        z = self._zech[(self._log[b] - i) % (self.q - 1)]
+        return 0 if z < 0 else self._exp[i + z]
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
         if self.p == 2:
             return a
-        p = self.p
-        v = 0
-        for x in reversed(self._dig[a]):
-            v = v * p + (-x) % p
-        return v
+        if not a:
+            return 0
+        # -1 = alpha^((q-1)/2) in odd characteristic
+        return self._exp[self._log[a] + (self.q - 1) // 2]
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
-        da, db, p = self._dig[a], self._dig[b], self.p
-        v = 0
-        for x, y in zip(reversed(da), reversed(db)):
-            v = v * p + (x - y) % p
-        return v
+        if not b:
+            return a
+        # a - b = a + alpha^j with alpha^j = -b
+        j = self._log[b] + (self.q - 1) // 2
+        if not a:
+            return self._exp[j]
+        i = self._log[a]
+        z = self._zech[(j - i) % (self.q - 1)]
+        return 0 if z < 0 else self._exp[i + z]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -266,17 +262,13 @@ class Field:
 
     # -- misc --------------------------------------------------------------
 
-    def digits(self, x: int) -> tuple[int, ...]:
-        """Base-p digit tuple (polynomial coefficients, lowest first)."""
-        return _digits(x, self.p, self.m)
-
     def to_json(self) -> dict:
         return {"q": self.q, "modulus": list(self.modulus)}
 
     @staticmethod
     def from_json(obj: dict) -> "Field":
-        fld = field_make(int(obj["q"]))
-        mod = tuple(int(c) for c in obj.get("modulus", []))
+        fld = field_make(_json_int(obj["q"], "q"))
+        mod = tuple(_json_int(c, "modulus entry") for c in obj.get("modulus", []))
         if mod != fld.modulus:
             raise BadFieldOverride(
                 f"modulus {list(mod)} is not the canonical one for GF({fld.q})"
@@ -343,13 +335,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def to_json(self) -> dict:
-        return {"q": self.field.q, "coeffs": list(self.coeffs)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Poly":
-        return Poly(field_make(int(obj["q"])), tuple(int(c) for c in obj["coeffs"]))
 
     def __repr__(self) -> str:
         return f"Poly(GF({self.field.q}), {list(self.coeffs)})"
@@ -469,23 +454,11 @@ class Matrix:
     def zeros(cls, field: Field, r: int, c: int) -> "Matrix":
         return cls(field, [[0] * c for _ in range(r)])
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.data)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(zip(*self.data)))
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        _require_same_field(self.field, other.field)
-        if self.nrows != other.nrows:
-            raise DimensionMismatch("row counts differ")
-        return Matrix(self.field, [a + b for a, b in zip(self.data, other.data)])
-
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        return Matrix(self.field, [[self.data[i][j] for j in col_idx] for i in row_idx])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         _require_same_field(self.field, other.field)
@@ -504,12 +477,6 @@ class Matrix:
                 row.append(acc)
             out.append(row)
         return Matrix(f, out)
-
-    def scale_row(self, i: int, c: int) -> "Matrix":
-        f = self.field
-        rows = [list(r) for r in self.data]
-        rows[i] = [f.mul(c, x) for x in rows[i]]
-        return Matrix(f, rows)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -538,37 +505,53 @@ class Matrix:
     def from_json(obj: dict) -> "Matrix":
         fld = Field.from_json(obj)
         m = Matrix(fld, obj["data"])
-        if m.nrows != int(obj["rows"]) or m.ncols != int(obj["cols"]):
+        rows, cols = _json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols")
+        if (m.nrows, m.ncols) != (rows, cols):
             raise DimensionMismatch("declared shape does not match data")
         return m
 
 
+def _eliminate(field: Field, rows: list[list[int]], cols) -> list[tuple[int, int]]:
+    """Gauss-Jordan elimination of ``rows`` in place over ``cols``, in order.
+
+    Pivot rule: for each column in turn, the pivot is the first row with a
+    nonzero entry in that column, scanning down from the row after the last
+    pivot. That row is swapped up into place, scaled so the pivot is 1, and
+    the column is cleared in every other row. A column with no such row is
+    skipped, and the loop stops once every row holds a pivot.
+
+    Returns the (row, col) pivots in the order found; pivot i sits in row i.
+    Callers read their results off this rule, so every systematic form,
+    solution and null-space basis depends on it exactly.
+    """
+    mul, sub = field.mul, field.sub
+    nr = len(rows)
+    pivots: list[tuple[int, int]] = []
+    for c in cols:
+        top = len(pivots)
+        for piv in range(top, nr):
+            if rows[piv][c]:
+                break
+        else:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        inv = field.inv(rows[top][c])
+        if inv != 1:
+            rows[top] = [mul(inv, x) for x in rows[top]]
+        prow = rows[top]
+        for r in range(nr):
+            if r != top and rows[r][c]:
+                coef = rows[r][c]
+                rows[r] = [sub(x, mul(coef, px)) for x, px in zip(rows[r], prow)]
+        pivots.append((top, c))
+        if top + 1 == nr:
+            break
+    return pivots
+
+
 def mat_rank(m: Matrix) -> int:
     """Rank by Gaussian elimination; pivot = first nonzero scanning down."""
-    f = m.field
-    rows = [list(r) for r in m.data]
-    nr, nc = m.nrows, m.ncols
-    rank = 0
-    for c in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if rows[r][c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = f.inv(rows[rank][c])
-        rows[rank] = [f.mul(inv, x) for x in rows[rank]]
-        prow = rows[rank]
-        for r in range(nr):
-            if r != rank and rows[r][c]:
-                coef = rows[r][c]
-                rows[r] = [f.sub(x, f.mul(coef, px)) for x, px in zip(rows[r], prow)]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    return len(_eliminate(m.field, [list(r) for r in m.data], range(m.ncols)))
 
 
 def vectors_independent(field: Field, vectors) -> bool:
@@ -624,23 +607,10 @@ def systematic_form(m: Matrix, side: str = "left") -> Matrix:
         raise DimensionMismatch("more rows than columns")
     block = range(nr) if side == "left" else range(nc - nr, nc)
     rows = [list(r) for r in m.data]
-    for i, pc in enumerate(block):
-        piv = None
-        for r in range(i, nr):
-            if rows[r][pc]:
-                piv = r
-                break
-        if piv is None:
-            raise SingularBlock(f"designated block is singular at column {pc}")
-        rows[i], rows[piv] = rows[piv], rows[i]
-        inv = f.inv(rows[i][pc])
-        if inv != 1:
-            rows[i] = [f.mul(inv, x) for x in rows[i]]
-        prow = rows[i]
-        for r in range(nr):
-            if r != i and rows[r][pc]:
-                coef = rows[r][pc]
-                rows[r] = [f.sub(x, f.mul(coef, px)) for x, px in zip(rows[r], prow)]
+    pivot_cols = [c for _, c in _eliminate(f, rows, block)]
+    if len(pivot_cols) < nr:
+        pc = next(c for c in block if c not in pivot_cols)
+        raise SingularBlock(f"designated block is singular at column {pc}")
     return Matrix(f, rows)
 
 
@@ -660,26 +630,9 @@ def solve_for_columns(h: Matrix, cols, syndrome) -> list[int]:
     f = h.field
     k = len(cols)
     aug = [[h.data[r][c] for c in cols] + [f.check(syndrome[r])] for r in range(h.nrows)]
-    filled = 0
-    for c in range(k):
-        piv = None
-        for r in range(filled, h.nrows):
-            if aug[r][c]:
-                piv = r
-                break
-        if piv is None:
-            raise DependentColumns("selected columns are linearly dependent")
-        aug[filled], aug[piv] = aug[piv], aug[filled]
-        inv = f.inv(aug[filled][c])
-        if inv != 1:
-            aug[filled] = [f.mul(inv, x) for x in aug[filled]]
-        prow = aug[filled]
-        for r in range(h.nrows):
-            if r != filled and aug[r][c]:
-                coef = aug[r][c]
-                aug[r] = [f.sub(x, f.mul(coef, px)) for x, px in zip(aug[r], prow)]
-        filled += 1
-    for r in range(filled, h.nrows):
+    if len(_eliminate(f, aug, range(k))) < k:
+        raise DependentColumns("selected columns are linearly dependent")
+    for r in range(k, h.nrows):
         if aug[r][k]:
             raise InconsistentSyndrome("known symbols contradict the code")
     return [aug[i][k] for i in range(k)]

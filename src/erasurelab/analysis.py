@@ -12,12 +12,13 @@ with pruning, so "first found" is well defined and worker-count independent.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Matrix, field_make, vectors_independent, zrun
+from .algebra import Matrix, _digits, _eliminate, field_make, vectors_independent, zrun
 from .channel import (
     ChannelParams,
     ErasurePattern,
@@ -146,37 +147,17 @@ def mds_subblock_check(code: LinearCode, b: int, e: int) -> bool:
         raise BadParameters(f"need n-k = b+e = {b + e}, got {h.nrows} parity rows")
     f = code.field
     rows = [list(r) for r in h.data]
-    for i in range(b):
-        piv = next((r for r in range(i, b + e) if rows[r][i]), None)
-        if piv is None:
-            raise StructureViolation("first b columns are linearly dependent")
-        rows[i], rows[piv] = rows[piv], rows[i]
-        inv = f.inv(rows[i][i])
-        if inv != 1:
-            rows[i] = [f.mul(inv, x) for x in rows[i]]
-        prow = rows[i]
-        for r in range(b + e):
-            if r != i and rows[r][i]:
-                coef = rows[r][i]
-                rows[r] = [f.sub(x, f.mul(coef, px)) for x, px in zip(rows[r], prow)]
+    if len(_eliminate(f, rows, range(b))) < b:
+        raise StructureViolation("first b columns are linearly dependent")
     block = [row[b:] for row in rows[b:]]
     n_sub = code.n - b
-    if _n_choose(n_sub, e) > _SUBSET_CAP:
+    if math.comb(n_sub, e) > _SUBSET_CAP:
         raise TooLarge(f"C({n_sub},{e}) column subsets exceed the cap")
     cols = [tuple(row[j] for row in block) for j in range(n_sub)]
     return all(
         vectors_independent(f, [cols[j] for j in combo])
         for combo in itertools.combinations(range(n_sub), e)
     )
-
-
-def _n_choose(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    r = 1
-    for i in range(k):
-        r = r * (n - i) // (i + 1)
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +359,9 @@ def _prep_groups(n: int, r: int, patterns):
     return groups
 
 
-def _decode_vec(v: int, q: int, r: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(r):
-        out.append(v % q)
-        v //= q
-    return tuple(out)
-
-
 def _dfs(field, q: int, r: int, k: int, groups, depth: int, cols, lo: int, hi: int):
     for v in range(lo, hi):
-        cols.append(_decode_vec(v, q, r))
+        cols.append(_digits(v, q, r))
         ok = True
         for p_cols, kept in groups[depth]:
             vecs = [tuple(cols[c][i] for i in kept) for c in p_cols]

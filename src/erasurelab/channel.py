@@ -10,6 +10,7 @@ independence of the matching parity-check columns.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -185,7 +186,7 @@ def enumerate_burst_plus_random(n: int, b: int, e: int) -> list[ErasurePattern]:
         raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
     ivals = _intervals(n, b)
     approx = len(ivals) * sum(
-        _n_choose(n, j) for j in range(min(e, n) + 1)
+        math.comb(n, j) for j in range(min(e, n) + 1)
     )
     if approx > 1 << 22:
         raise TooLarge(f"~{approx} raw patterns exceed the enumeration cap")
@@ -201,15 +202,6 @@ def enumerate_burst_plus_random(n: int, b: int, e: int) -> list[ErasurePattern]:
     out = [_pattern_from_mask(n, m) for m in masks]
     out.sort(key=lambda p: p.support)
     return out
-
-
-def _n_choose(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    r = 1
-    for i in range(k):
-        r = r * (n - i) // (i + 1)
-    return r
 
 
 def _cyclic_intervals(n: int, max_len: int) -> list[int]:

@@ -16,6 +16,8 @@ from .algebra import (
     Field,
     Matrix,
     Poly,
+    _eliminate,
+    _json_int,
     field_make,
     mat_rank,
     poly_divides,
@@ -83,13 +85,17 @@ class LinearCode:
     @staticmethod
     def from_json(obj: dict) -> "LinearCode":
         h = Matrix.from_json(obj["H"])
-        prov = dict(obj.get("provenance", {}))
-        if prov.get("construction") == "cyclic":
-            code = cyclic_from_h(int(obj["n"]), h.field.q, prov["h"])
-        else:
-            code = LinearCode(h, prov)
-        if code.n != int(obj["n"]) or code.k != int(obj["k"]):
+        prov = obj.get("provenance", {})
+        if not isinstance(prov, dict):
+            raise BadParameters("provenance must be a JSON object")
+        n, k = _json_int(obj["n"], "n"), _json_int(obj["k"], "k")
+        # checked before a cyclic rebuild, whose cost grows with the declared n
+        if (n, k) != (h.ncols, h.ncols - h.nrows):
             raise BadParameters("declared n/k do not match the parity-check matrix")
+        if prov.get("construction") == "cyclic":
+            code = cyclic_from_h(n, h.field.q, prov["h"])
+        else:
+            code = LinearCode(h, dict(prov))
         if code.h != h:
             raise BadParameters("stored matrix is not the one this provenance rebuilds")
         return code
@@ -138,23 +144,8 @@ def _nullspace_generator(code: LinearCode) -> Matrix:
     f = code.field
     h = code.h
     rows = [list(r) for r in h.data]
-    nr, nc = h.nrows, h.ncols
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        prow = rows[r]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                coef = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(coef, px)) for x, px in zip(rows[i], prow)]
-        pivots.append((r, c))
-        r += 1
+    nc = h.ncols
+    pivots = _eliminate(f, rows, range(nc))
     pivot_cols = {c for _, c in pivots}
     basis = []
     for free in range(nc):

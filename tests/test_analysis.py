@@ -152,6 +152,7 @@ def test_mds_subblock_accepts_mds_codes():
     for b, e in ((3, 2), (2, 3), (4, 1)):
         assert mds_subblock_check(code, b, e) is True
     assert mds_subblock_check(construction_one(8, 3, 1), 3, 1) is True
+    assert mds_subblock_check(mds_code(7, 4), 2, 2) is True
 
 
 def test_mds_subblock_detects_a_dependent_pair():

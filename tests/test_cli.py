@@ -1,11 +1,14 @@
 """End-to-end command-line tests: every subcommand, all three output
 formats, exit codes, and determinism. Each test drives main() directly."""
 
+import copy
 import json
+import random
 
 import pytest
 
 from erasurelab.cli import main
+from erasurelab.codes import construction_one, cyclic_from_h, mds_code
 
 H831 = [
     [1, 0, 0, 1, 0, 0, 1, 0],
@@ -327,3 +330,76 @@ def test_unknown_flag_exits_2(capsys):
     rc = main(["construct", "--scheme", "c1", "--n", "8", "--b1", "3", "--b2", "1", "--bogus"])
     capsys.readouterr()
     assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed code files
+# ---------------------------------------------------------------------------
+
+_BAD_SCALARS = ["abc", "5", "", 5.9, 3.0, True, False, None, [], {}, [1],
+                float("nan"), float("inf")]
+_BAD_CONTAINERS = [5, "abc", None, True, 2.5, ["abc"]]
+_OPTIONAL = ("modulus", "provenance")  # a code file may leave these out
+
+
+def _code_file_mutants(seed, count):
+    """Valid code files with one defect each: a wrong type, a bool, a float
+    (also one equal to the right integer), a string, ragged data, a missing
+    key, a huge or non-prime-power q, or a declared size that is wrong."""
+    rng = random.Random(seed)
+    bases = [
+        construction_one(8, 3, 1).to_json(),
+        mds_code(8, 3).to_json(),  # GF(8): nonempty modulus
+        cyclic_from_h(7, 2, (1, 0, 1, 1, 1)).to_json(),
+    ]
+    bad_sizes = _BAD_SCALARS + [-1, 0, 10**12]
+    for _ in range(count):
+        doc = copy.deepcopy(rng.choice(bases))
+        h = doc["H"]
+        i = rng.randrange(len(h["data"]))
+        j = rng.randrange(len(h["data"][i]))
+        slots = [
+            (doc, "n", bad_sizes),
+            (doc, "k", bad_sizes),
+            (h, "rows", bad_sizes),
+            (h, "cols", bad_sizes),
+            (h, "q", _BAD_SCALARS + [0, 1, 6, 12, -4, 2**40, 10**30]),
+            (h, "data", _BAD_CONTAINERS + [[]]),
+            (h["data"], i, _BAD_CONTAINERS + [[]]),
+            (h["data"][i], j, _BAD_SCALARS + [-1, h["q"]]),
+            (h, "modulus", _BAD_CONTAINERS),
+            (doc, "H", _BAD_CONTAINERS),
+            (doc, "provenance", _BAD_CONTAINERS),
+        ]
+        if h["modulus"]:
+            slots.append((h["modulus"], rng.randrange(len(h["modulus"])), _BAD_SCALARS))
+        if "h" in doc["provenance"]:
+            slots.append((doc["provenance"], "h", _BAD_CONTAINERS + [[], [0], ["x"]]))
+        owner, key, pool = rng.choice(slots)
+        op = rng.choice(("replace", "replace", "float", "delete", "ragged"))
+        if op == "float" and isinstance(owner[key], int):
+            owner[key] = float(owner[key])
+        elif op == "delete" and isinstance(owner, dict) and key not in _OPTIONAL:
+            del owner[key]
+        elif op == "ragged":
+            key = i
+            if rng.random() < 0.5:
+                h["data"][i].append(0)
+            else:
+                h["data"][i].pop()
+        else:
+            op = "replace"
+            owner[key] = rng.choice(pool)
+        yield f"{op} {key!r}", doc
+
+
+def test_malformed_code_files_exit_2_with_a_typed_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    for label, doc in _code_file_mutants(seed=7, count=400):
+        path.write_text(json.dumps(doc))
+        rc = main(["verify", "--code", str(path), "--b1", "2", "--b2", "1",
+                   "--format", "json"])
+        captured = capsys.readouterr()
+        assert rc == 2, (label, doc)
+        assert json.loads(captured.out)["error"]["type"], (label, doc)
+        assert "Traceback" not in captured.out + captured.err, (label, doc)
