@@ -89,7 +89,7 @@ def _monic_irreducible(p: int, m: int) -> tuple[int, ...]:
 
 
 def _json_int(value, what: str) -> int:
-    """An integer read from a JSON document; floats, strings and bools are
+    """An integer argument or JSON value; floats, strings and bools are
     rejected rather than converted."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise BadParameters(f"{what} must be an integer, got {value!r}")

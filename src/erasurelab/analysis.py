@@ -22,6 +22,10 @@ from .algebra import Matrix, _digits, _eliminate, field_make, vectors_independen
 from .channel import (
     ChannelParams,
     ErasurePattern,
+    _bursts,
+    _pattern_from_mask,
+    _unions,
+    _verify_family,
     can_recover,
     enumerate_b1b2_patterns,
     enumerate_burst_plus_random,
@@ -257,18 +261,6 @@ class CyclicReport:
         }
 
 
-def _burst_plus_one_patterns(n: int, burst_len: int) -> list[ErasurePattern]:
-    masks = set()
-    for s in range(n - burst_len + 1):
-        imask = ((1 << burst_len) - 1) << s
-        for j in range(n):
-            if not (imask >> j) & 1:
-                masks.add(imask | (1 << j))
-    pats = [ErasurePattern(n, tuple(i for i in range(n) if (m >> i) & 1)) for m in masks]
-    pats.sort(key=lambda p: p.support)
-    return pats
-
-
 def cyclic_report(code: CyclicCode) -> CyclicReport:
     if not isinstance(code, CyclicCode):
         raise WrongProvenance("cyclic_report needs a code built by cyclic_from_h")
@@ -278,11 +270,8 @@ def cyclic_report(code: CyclicCode) -> CyclicReport:
     d = min_distance(code)
     if d > bound:
         raise RuntimeError("distance exceeds the zero-run bound; this is a bug")
-    witness = None
-    for pat in _burst_plus_one_patterns(n, d - 1):
-        if not can_recover(code, pat):
-            witness = pat
-            break
+    # the bare bursts in this family have d-1 columns, always independent
+    witness = _verify_family(code, _unions(n, _bursts(n, [d - 1]), _bursts(n, [1]))).witness
     meets = d == bound
     if meets != (witness is not None):
         raise RuntimeError("tightness witness disagrees with d; this is a bug")
@@ -294,11 +283,9 @@ def cyclic_burst_capability(code: CyclicCode) -> bool:
     if not isinstance(code, CyclicCode):
         raise WrongProvenance("needs a code built by cyclic_from_h")
     n, r = code.n, code.n - code.k
-    for s in range(n):
-        sup = tuple(sorted((s + i) % n for i in range(r)))
-        if not can_recover(code, ErasurePattern(n, sup)):
-            return False
-    return True
+    return all(
+        can_recover(code, _pattern_from_mask(n, m)) for m in _bursts(n, [r], cyclic=True)
+    )
 
 
 # ---------------------------------------------------------------------------

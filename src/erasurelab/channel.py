@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import solve_for_columns, vectors_independent
+from .algebra import _json_int, columns_independent, solve_for_columns
 from .codes import LinearCode
 from .errors import (
     BadParameters,
@@ -61,9 +61,11 @@ class ErasurePattern:
     support: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        if _json_int(self.n, "pattern length") < 1:
             raise BadParameters(f"pattern length must be >= 1, got {self.n}")
-        sup = tuple(sorted(set(int(i) for i in self.support)))
+        for i in self.support:
+            _json_int(i, "support index")
+        sup = tuple(sorted(set(self.support)))
         if len(sup) != len(self.support):
             raise BadParameters(f"support has duplicates: {self.support}")
         if sup and (sup[0] < 0 or sup[-1] >= self.n):
@@ -85,7 +87,7 @@ class ErasurePattern:
 
     @staticmethod
     def from_json(obj: dict) -> "ErasurePattern":
-        return ErasurePattern(int(obj["n"]), tuple(obj["support"]))
+        return ErasurePattern(obj["n"], tuple(obj["support"]))
 
 
 @dataclass(frozen=True)
@@ -133,29 +135,53 @@ def is_window_admissible(pattern: ErasurePattern, params: ChannelParams) -> bool
     return _mask_admissible(pattern.mask(), params)
 
 
-def enumerate_admissible_windows(params: ChannelParams) -> list[ErasurePattern]:
-    """All admissible window patterns, lexicographic by support (empty first)."""
+def _admissible_masks(params: ChannelParams):
+    """Admissible window masks, lexicographic by support (empty first).
+
+    A pre-order walk of the set-enumeration tree: each set is followed by its
+    extensions with larger indices. Admissibility is closed under taking
+    subsets, so an inadmissible extension is not walked any further.
+    """
     w = params.w
     if w > _ENUM_N_CAP:
         raise TooLarge(f"2^{w} window patterns exceed the enumeration cap")
-    out = []
-    for mask in range(1 << w):
-        if _mask_admissible(mask, params):
-            out.append(_pattern_from_mask(w, mask))
-    out.sort(key=lambda p: p.support)
-    return out
+    stack = [(0, 0)]
+    while stack:
+        mask, lo = stack.pop()
+        yield mask
+        for i in range(w - 1, lo - 1, -1):
+            ext = mask | 1 << i
+            if _mask_admissible(ext, params):
+                stack.append((ext, i + 1))
+
+
+def enumerate_admissible_windows(params: ChannelParams) -> list[ErasurePattern]:
+    """All admissible window patterns, lexicographic by support (empty first)."""
+    return [_pattern_from_mask(params.w, m) for m in _admissible_masks(params)]
 
 
 def _pattern_from_mask(n: int, mask: int) -> ErasurePattern:
     return ErasurePattern(n, tuple(i for i in range(n) if (mask >> i) & 1))
 
 
-def _intervals(n: int, max_len: int) -> list[int]:
+def _bursts(n: int, lengths, cyclic: bool = False) -> list[int]:
+    """The mask of every burst in a length-n block with a length in lengths,
+    length by length, then by start. Cyclic bursts wrap around mod n."""
+    full = (1 << n) - 1
     out = []
-    for length in range(1, max_len + 1):
-        for s in range(n - length + 1):
-            out.append(((1 << length) - 1) << s)
+    for length in lengths:
+        m = (1 << length) - 1
+        if cyclic:
+            out.extend((m << s | m << s >> n) & full for s in range(n))
+        else:
+            out.extend(m << s for s in range(n - length + 1))
     return out
+
+
+def _unions(n: int, xs, ys) -> list[ErasurePattern]:
+    """Every distinct x | y over the two mask lists, sorted by support."""
+    masks = {x | y for x in xs for y in ys}
+    return sorted((_pattern_from_mask(n, m) for m in masks), key=lambda p: p.support)
 
 
 def enumerate_b1b2_patterns(n: int, b1: int, b2: int) -> list[ErasurePattern]:
@@ -168,13 +194,7 @@ def enumerate_b1b2_patterns(n: int, b1: int, b2: int) -> list[ErasurePattern]:
         raise BadParameters(f"bad burst enumeration parameters n={n}, b1={b1}, b2={b2}")
     if n > _ENUM_N_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
-    masks = set()
-    for i in _intervals(n, b1):
-        for j in _intervals(n, b2):
-            masks.add(i | j)
-    out = [_pattern_from_mask(n, m) for m in masks]
-    out.sort(key=lambda p: p.support)
-    return out
+    return _unions(n, _bursts(n, range(1, b1 + 1)), _bursts(n, range(1, b2 + 1)))
 
 
 def enumerate_burst_plus_random(n: int, b: int, e: int) -> list[ErasurePattern]:
@@ -184,36 +204,18 @@ def enumerate_burst_plus_random(n: int, b: int, e: int) -> list[ErasurePattern]:
         raise BadParameters(f"bad parameters n={n}, b={b}, e={e}")
     if n > _ENUM_N_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
-    ivals = _intervals(n, b)
-    approx = len(ivals) * sum(
+    bursts = _bursts(n, range(1, b + 1))
+    approx = len(bursts) * sum(
         math.comb(n, j) for j in range(min(e, n) + 1)
     )
     if approx > 1 << 22:
         raise TooLarge(f"~{approx} raw patterns exceed the enumeration cap")
-    masks = set()
-    for imask in ivals:
-        rest = [i for i in range(n) if not (imask >> i) & 1]
-        for j in range(min(e, len(rest)) + 1):
-            for extra in itertools.combinations(rest, j):
-                m = imask
-                for i in extra:
-                    m |= 1 << i
-                masks.add(m)
-    out = [_pattern_from_mask(n, m) for m in masks]
-    out.sort(key=lambda p: p.support)
-    return out
-
-
-def _cyclic_intervals(n: int, max_len: int) -> list[int]:
-    out = []
-    full = (1 << n) - 1
-    for length in range(1, max_len + 1):
-        for s in range(n):
-            m = 0
-            for i in range(length):
-                m |= 1 << ((s + i) % n)
-            out.append(m & full)
-    return out
+    extras = [
+        sum(1 << i for i in extra)
+        for j in range(min(e, n) + 1)
+        for extra in itertools.combinations(range(n), j)
+    ]
+    return _unions(n, bursts, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +228,7 @@ def can_recover(code: LinearCode, pattern: ErasurePattern) -> bool:
     i.e. the erased parity-check columns are linearly independent."""
     if pattern.n != code.n:
         raise LengthMismatch(f"pattern over n={pattern.n}, code has n={code.n}")
-    sup = pattern.support
-    h = code.h
-    if len(sup) > h.nrows:
-        return False
-    data = h.data
-    return vectors_independent(
-        code.field, [tuple(row[j] for row in data) for j in sup]
-    )
+    return columns_independent(code.h, pattern.support)
 
 
 def decode_erasures(code: LinearCode, received) -> list[int]:
@@ -297,10 +292,6 @@ def check_wraparound(code: LinearCode, b1: int, b2: int) -> VerificationReport:
         raise BadParameters(f"bad parameters n={n}, b1={b1}, b2={b2}")
     if n > _ENUM_N_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
-    masks = set()
-    for i in _cyclic_intervals(n, b1):
-        for j in _cyclic_intervals(n, b2):
-            masks.add(i | j)
-    pats = [_pattern_from_mask(n, m) for m in masks]
-    pats.sort(key=lambda p: p.support)
-    return _verify_family(code, pats)
+    firsts = _bursts(n, range(1, b1 + 1), cyclic=True)
+    seconds = _bursts(n, range(1, b2 + 1), cyclic=True)
+    return _verify_family(code, _unions(n, firsts, seconds))

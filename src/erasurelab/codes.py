@@ -10,10 +10,8 @@ which is what every verifier in :mod:`erasurelab.channel` checks.
 from __future__ import annotations
 
 import itertools
-import math
 
 from .algebra import (
-    Field,
     Matrix,
     Poly,
     _eliminate,

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from .channel import (
     ChannelParams,
     VerificationReport,
+    _admissible_masks,
     _mask_admissible,
+    _pattern_from_mask,
     _verify_family,
     decode_erasures,
-    enumerate_admissible_windows,
 )
 from .codes import LinearCode, _systematic_generator
 from .errors import (
@@ -315,7 +316,8 @@ def verify_streaming_code(code: LinearCode, params: StreamingParams) -> Verifica
     if code.n != w:
         raise DimensionMismatch(f"diagonal embedding needs n = w, got n={code.n}, w={w}")
     _systematic_generator(code)  # NotSystematic if the orientation is impossible
-    return _verify_family(code, enumerate_admissible_windows(params.channel))
+    patterns = (_pattern_from_mask(w, m) for m in _admissible_masks(params.channel))
+    return _verify_family(code, patterns)
 
 
 @dataclass(frozen=True)

@@ -2,27 +2,39 @@
 
 These are the hand-written elimination loops and the digit-by-digit
 GF(p^m) addition that the library used before it moved to one shared
-elimination routine and Zech-logarithm addition. They are deliberately
-left as they were: tests run both sides on the same inputs and require
-identical matrices, solutions, verdicts, exception types and messages.
+elimination routine and Zech-logarithm addition, and the eager pattern-family
+enumerators it used before one burst/union builder and a lazy window walk
+replaced them. They are deliberately left as they were: tests run both sides
+on the same inputs and require identical matrices, solutions, verdicts,
+pattern orders, exception types and messages.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from erasurelab.algebra import Matrix, _digits, vectors_independent
+from erasurelab.channel import (
+    ChannelParams,
+    ErasurePattern,
+    VerificationReport,
+    _mask_admissible,
+)
 from erasurelab.errors import (
     BadParameters,
     DependentColumns,
     DimensionMismatch,
+    DivisibilityViolation,
     InconsistentSyndrome,
+    LengthMismatch,
     SingularBlock,
     StructureViolation,
     TooLarge,
 )
 
 _SUBSET_CAP = 1 << 20
+_ENUM_N_CAP = 20
 
 
 class DigitField:
@@ -235,3 +247,168 @@ def mds_subblock_check(code, b: int, e: int) -> bool:
         vectors_independent(f, [cols[j] for j in combo])
         for combo in itertools.combinations(range(n_sub), e)
     )
+
+
+# ---------------------------------------------------------------------------
+# pattern families and their verifiers, as eager set-then-sort enumerators
+# ---------------------------------------------------------------------------
+
+
+def enumerate_admissible_windows(params: ChannelParams) -> list[ErasurePattern]:
+    """All admissible window patterns, lexicographic by support (empty first)."""
+    w = params.w
+    if w > _ENUM_N_CAP:
+        raise TooLarge(f"2^{w} window patterns exceed the enumeration cap")
+    out = []
+    for mask in range(1 << w):
+        if _mask_admissible(mask, params):
+            out.append(_pattern_from_mask(w, mask))
+    out.sort(key=lambda p: p.support)
+    return out
+
+
+def _pattern_from_mask(n: int, mask: int) -> ErasurePattern:
+    return ErasurePattern(n, tuple(i for i in range(n) if (mask >> i) & 1))
+
+
+def _intervals(n: int, max_len: int) -> list[int]:
+    out = []
+    for length in range(1, max_len + 1):
+        for s in range(n - length + 1):
+            out.append(((1 << length) - 1) << s)
+    return out
+
+
+def enumerate_b1b2_patterns(n: int, b1: int, b2: int) -> list[ErasurePattern]:
+    """All unions of two bursts of lengths in [1, b1] and [1, b2].
+
+    Overlapping and abutting bursts are allowed, so every single burst of
+    length <= max(b1, b2) appears too. Deduplicated, lexicographic order.
+    """
+    if n < 1 or b1 < 1 or b2 < 1 or b1 > n or b2 > n:
+        raise BadParameters(f"bad burst enumeration parameters n={n}, b1={b1}, b2={b2}")
+    if n > _ENUM_N_CAP:
+        raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
+    masks = set()
+    for i in _intervals(n, b1):
+        for j in _intervals(n, b2):
+            masks.add(i | j)
+    out = [_pattern_from_mask(n, m) for m in masks]
+    out.sort(key=lambda p: p.support)
+    return out
+
+
+def enumerate_burst_plus_random(n: int, b: int, e: int) -> list[ErasurePattern]:
+    """All unions of one burst of length in [1, b] with up to e arbitrary
+    extra indices. Deduplicated, lexicographic order."""
+    if n < 1 or b < 1 or b > n or e < 0:
+        raise BadParameters(f"bad parameters n={n}, b={b}, e={e}")
+    if n > _ENUM_N_CAP:
+        raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
+    ivals = _intervals(n, b)
+    approx = len(ivals) * sum(
+        math.comb(n, j) for j in range(min(e, n) + 1)
+    )
+    if approx > 1 << 22:
+        raise TooLarge(f"~{approx} raw patterns exceed the enumeration cap")
+    masks = set()
+    for imask in ivals:
+        rest = [i for i in range(n) if not (imask >> i) & 1]
+        for j in range(min(e, len(rest)) + 1):
+            for extra in itertools.combinations(rest, j):
+                m = imask
+                for i in extra:
+                    m |= 1 << i
+                masks.add(m)
+    out = [_pattern_from_mask(n, m) for m in masks]
+    out.sort(key=lambda p: p.support)
+    return out
+
+
+def _cyclic_intervals(n: int, max_len: int) -> list[int]:
+    out = []
+    full = (1 << n) - 1
+    for length in range(1, max_len + 1):
+        for s in range(n):
+            m = 0
+            for i in range(length):
+                m |= 1 << ((s + i) % n)
+            out.append(m & full)
+    return out
+
+
+def can_recover(code, pattern: ErasurePattern) -> bool:
+    """True iff every symbol erased by the pattern is determined by the rest,
+    i.e. the erased parity-check columns are linearly independent."""
+    if pattern.n != code.n:
+        raise LengthMismatch(f"pattern over n={pattern.n}, code has n={code.n}")
+    sup = pattern.support
+    h = code.h
+    if len(sup) > h.nrows:
+        return False
+    data = h.data
+    return vectors_independent(
+        code.field, [tuple(row[j] for row in data) for j in sup]
+    )
+
+
+def verify_family(code, patterns) -> VerificationReport:
+    checked = 0
+    for pat in patterns:
+        checked += 1
+        if not can_recover(code, pat):
+            return VerificationReport(False, pat, checked)
+    return VerificationReport(True, None, checked)
+
+
+def check_wraparound(code, b1: int, b2: int) -> VerificationReport:
+    """Two-burst verification where either burst may wrap around cyclically.
+
+    Only meaningful (and only allowed) when b1 divides n.
+    """
+    n = code.n
+    if n % b1 != 0:
+        raise DivisibilityViolation(f"b1={b1} must divide n={n} for wrap-around bursts")
+    if n < 1 or b1 < 1 or b2 < 1 or b2 > b1:
+        raise BadParameters(f"bad parameters n={n}, b1={b1}, b2={b2}")
+    if n > _ENUM_N_CAP:
+        raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
+    masks = set()
+    for i in _cyclic_intervals(n, b1):
+        for j in _cyclic_intervals(n, b2):
+            masks.add(i | j)
+    pats = [_pattern_from_mask(n, m) for m in masks]
+    pats.sort(key=lambda p: p.support)
+    return verify_family(code, pats)
+
+
+def _burst_plus_one_patterns(n: int, burst_len: int) -> list[ErasurePattern]:
+    masks = set()
+    for s in range(n - burst_len + 1):
+        imask = ((1 << burst_len) - 1) << s
+        for j in range(n):
+            if not (imask >> j) & 1:
+                masks.add(imask | (1 << j))
+    pats = [ErasurePattern(n, tuple(i for i in range(n) if (m >> i) & 1)) for m in masks]
+    pats.sort(key=lambda p: p.support)
+    return pats
+
+
+def cyclic_witness(code, d: int) -> ErasurePattern | None:
+    """The tightness witness of cyclic_report for a code of distance d."""
+    witness = None
+    for pat in _burst_plus_one_patterns(code.n, d - 1):
+        if not can_recover(code, pat):
+            witness = pat
+            break
+    return witness
+
+
+def cyclic_burst_capability(code) -> bool:
+    """Every cyclic burst of length n-k (all n rotations) is recoverable."""
+    n, r = code.n, code.n - code.k
+    for s in range(n):
+        sup = tuple(sorted((s + i) % n for i in range(r)))
+        if not can_recover(code, ErasurePattern(n, sup)):
+            return False
+    return True

@@ -58,6 +58,27 @@ def test_erasure_pattern_canonicalization():
     assert rt == p
 
 
+@pytest.mark.parametrize("n, support", [
+    (5, (1.9, "3")),
+    (5, (True,)),
+    (5, (2, False)),
+    (2.5, ()),
+    ("5", (1,)),
+    (True, (0,)),
+])
+def test_erasure_pattern_rejects_non_integers(n, support):
+    with pytest.raises(BadParameters):
+        ErasurePattern(n, support)
+
+
+def test_erasure_pattern_from_json_rejects_non_integers():
+    with pytest.raises(BadParameters):
+        ErasurePattern.from_json({"n": 5.7, "support": [2.2]})
+    with pytest.raises(BadParameters):
+        ErasurePattern.from_json({"n": 5, "support": [2.0]})
+    assert ErasurePattern.from_json({"n": 5, "support": [3, 1]}).support == (1, 3)
+
+
 def _oracle_admissible(sup, a, b, e, w):
     E = set(sup)
     if len(E) <= a:

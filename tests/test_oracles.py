@@ -1,9 +1,11 @@
-"""The shared elimination routine and Zech-logarithm addition against the
-reference loops in ``oracles``: same ranks, matrices, solutions, verdicts,
+"""The shared elimination routine, Zech-logarithm addition and the pattern
+families against the reference code in ``oracles``: same ranks, matrices,
+solutions, verdicts, witnesses, ``patterns_checked`` counts, pattern orders,
 exception types and messages on seeded random inputs."""
 
 from __future__ import annotations
 
+import functools
 import random
 from types import SimpleNamespace
 
@@ -12,14 +14,28 @@ import pytest
 import oracles
 from erasurelab.algebra import (
     Matrix,
+    Poly,
+    _digits,
     field_make,
     mat_rank,
+    poly_divides,
     solve_for_columns,
     systematic_form,
+    x_pow_n_minus_1,
 )
-from erasurelab.analysis import mds_subblock_check
-from erasurelab.codes import _nullspace_generator
+from erasurelab.analysis import cyclic_burst_capability, cyclic_report, mds_subblock_check
+from erasurelab.channel import (
+    ChannelParams,
+    _bursts,
+    _unions,
+    check_wraparound,
+    enumerate_admissible_windows,
+    enumerate_b1b2_patterns,
+    enumerate_burst_plus_random,
+)
+from erasurelab.codes import LinearCode, _nullspace_generator, cyclic_from_h, mds_code
 from erasurelab.errors import ErasureLabError
+from erasurelab.streaming import StreamingParams, verify_streaming_code
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9, 25, 27)
 
@@ -85,3 +101,134 @@ def test_elimination_matches_reference_loops(q):
             assert _outcome(mds_subblock_check, code, b, nr - b) == _outcome(
                 oracles.mds_subblock_check, code, b, nr - b
             )
+
+
+# ---------------------------------------------------------------------------
+# pattern families: burst/union builder and lazy window walk
+# ---------------------------------------------------------------------------
+
+
+def _channels(max_w):
+    return [
+        ChannelParams(a, b, e, w)
+        for w in range(3, max_w + 1)
+        for b in range(1, w - 1)
+        for e in range(1, w - b)
+        for a in range(b + e)
+    ]
+
+
+def _supports(fn, *args):
+    out = _outcome(fn, *args)
+    return out if out[0] == "raise" else ("ok", [p.support for p in out[1]])
+
+
+def _systematic_rows(rng, q, k, r):
+    return [[rng.randrange(q) for _ in range(k)] + [int(t == i) for t in range(r)]
+            for i in range(r)]
+
+
+def test_window_walk_matches_full_scan():
+    channels = _channels(10)
+    assert len(channels) == 660
+    for params in channels:
+        assert _supports(enumerate_admissible_windows, params) == _supports(
+            oracles.enumerate_admissible_windows, params
+        )
+
+
+def test_bursts_match_interval_loops():
+    for n in range(1, 13):
+        for max_len in range(n + 1):
+            lengths = range(1, max_len + 1)
+            assert _bursts(n, lengths) == oracles._intervals(n, max_len)
+            assert _bursts(n, lengths, cyclic=True) == oracles._cyclic_intervals(n, max_len)
+
+
+def test_two_burst_families_match_reference():
+    for n in range(0, 13):
+        for b1 in range(0, n + 2):
+            for b2 in range(0, n + 2):
+                assert _supports(enumerate_b1b2_patterns, n, b1, b2) == _supports(
+                    oracles.enumerate_b1b2_patterns, n, b1, b2
+                )
+                if 1 <= b2 <= b1 and n % b1 == 0:  # the check_wraparound family
+                    firsts = _bursts(n, range(1, b1 + 1), cyclic=True)
+                    seconds = _bursts(n, range(1, b2 + 1), cyclic=True)
+                    ref = {i | j for i in oracles._cyclic_intervals(n, b1)
+                           for j in oracles._cyclic_intervals(n, b2)}
+                    assert [p.support for p in _unions(n, firsts, seconds)] == sorted(
+                        oracles._pattern_from_mask(n, m).support for m in ref
+                    )
+
+
+def test_burst_plus_random_families_match_reference():
+    for n in range(-1, 11):
+        for b in range(-1, n + 2):
+            for e in range(-1, n + 2):
+                assert _supports(enumerate_burst_plus_random, n, b, e) == _supports(
+                    oracles.enumerate_burst_plus_random, n, b, e
+                )
+    # the raw-pattern cap, which counts extras over all n indices
+    assert _supports(enumerate_burst_plus_random, 20, 5, 10) == _supports(
+        oracles.enumerate_burst_plus_random, 20, 5, 10
+    )
+
+
+def test_burst_plus_one_family_adds_only_bare_bursts():
+    for n in range(1, 13):
+        for length in range(n + 1):
+            family = [p.support for p in _unions(n, _bursts(n, [length]), _bursts(n, [1]))]
+            ref = [p.support for p in oracles._burst_plus_one_patterns(n, length)]
+            assert [s for s in family if len(s) == length + 1] == ref
+            bare = [s for s in family if len(s) != length + 1]
+            assert all(s == tuple(range(s[0], s[0] + length)) for s in bare)
+
+
+_reference_windows = functools.lru_cache(oracles.enumerate_admissible_windows)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_streaming_verdicts_match_reference(q):
+    rng = random.Random(2000 + q)
+    f = field_make(q)
+    for params in _channels(9):
+        span = params.b + params.e
+        for k in (params.w - span, params.w - span + 1):
+            code = LinearCode(Matrix(f, _systematic_rows(rng, q, k, params.w - k)))
+            report = verify_streaming_code(code, StreamingParams(params, params.w - 1))
+            ref = oracles.verify_family(code, _reference_windows(params))
+            assert report == ref
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_wraparound_reports_match_reference(q):
+    rng = random.Random(3000 + q)
+    f = field_make(q)
+    for n in range(2, 13):
+        for b1 in range(1, n + 1):
+            for b2 in range(1, b1 + 2):
+                r = min(b1 + b2, n - 1)
+                random_code = LinearCode(Matrix(f, _systematic_rows(rng, q, n - r, r)))
+                for code in (random_code, mds_code(n, r)):  # mostly fail, mostly pass
+                    assert _outcome(check_wraparound, code, b1, b2) == _outcome(
+                        oracles.check_wraparound, code, b1, b2
+                    )
+
+
+@pytest.mark.parametrize("q, max_n", ((2, 11), (3, 8), (4, 5)))
+def test_cyclic_reports_match_reference(q, max_n):
+    """Every cyclic code of each length: h runs over the monic divisors of
+    x^n - 1 of degree 1..n-1."""
+    f = field_make(q)
+    for n in range(2, max_n + 1):
+        target = x_pow_n_minus_1(f, n)
+        for m in range(1, n):
+            for c in range(q**m):
+                coeffs = _digits(c, q, m) + (1,)
+                if not poly_divides(Poly(f, coeffs), target):
+                    continue
+                code = cyclic_from_h(n, q, coeffs)
+                report = cyclic_report(code)
+                assert report.witness == oracles.cyclic_witness(code, report.d)
+                assert cyclic_burst_capability(code) == oracles.cyclic_burst_capability(code)

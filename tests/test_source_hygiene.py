@@ -1,0 +1,58 @@
+"""Static checks on the package source: no module imports a name it never
+uses, and every module-level private function is referenced somewhere in
+the package. ``__init__.py`` is exempt from the import check because its
+imports are the public re-exports."""
+
+import ast
+from pathlib import Path
+
+import erasurelab
+
+SRC = Path(erasurelab.__file__).parent
+
+
+def _modules():
+    return {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _bindings(node):
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    if node.module == "__future__":
+        return []
+    return [a.asname or a.name for a in node.names if a.name != "*"]
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{name}: {b}" for b in _bindings(node) if b not in read]
+    assert unused == []
+
+
+def test_no_unreferenced_private_functions():
+    modules = _modules()
+    referenced = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(a.name for a in node.names)
+    dead = [
+        f"{name}: {node.name}"
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert dead == []
