@@ -11,6 +11,7 @@ with pruning, so "first found" is well defined and worker-count independent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -310,15 +311,6 @@ def resolve_workers(requested: int | None = None) -> int:
     return max(1, min(requested, cap))
 
 
-def _family_patterns(n: int, family: tuple) -> list[ErasurePattern]:
-    kind = family[0]
-    if kind == "two-burst":
-        return enumerate_b1b2_patterns(n, family[1], family[2])
-    if kind == "burst-random":
-        return enumerate_burst_plus_random(n, family[1], family[2])
-    raise BadParameters(f"unknown pattern family {family!r}")
-
-
 def _prep_groups(n: int, r: int, patterns):
     """Bucket patterns by their largest information-column index.
 
@@ -346,7 +338,8 @@ def _prep_groups(n: int, r: int, patterns):
     return groups
 
 
-def _dfs(field, q: int, r: int, k: int, groups, depth: int, cols, lo: int, hi: int):
+def _dfs(field, r: int, groups, depth: int, cols, lo: int, hi: int):
+    q = field.q
     for v in range(lo, hi):
         cols.append(_digits(v, q, r))
         ok = True
@@ -356,9 +349,9 @@ def _dfs(field, q: int, r: int, k: int, groups, depth: int, cols, lo: int, hi: i
                 ok = False
                 break
         if ok:
-            if depth + 1 == k:
+            if depth + 1 == len(groups):
                 return list(cols)
-            found = _dfs(field, q, r, k, groups, depth + 1, cols, 0, q**r)
+            found = _dfs(field, r, groups, depth + 1, cols, 0, q**r)
             if found is not None:
                 return found
         cols.pop()
@@ -366,44 +359,40 @@ def _dfs(field, q: int, r: int, k: int, groups, depth: int, cols, lo: int, hi: i
 
 
 def _search_chunk(args):
-    n, r, q, family, lo, hi = args
-    field = field_make(q)
-    groups = _prep_groups(n, r, _family_patterns(n, family))
-    if groups is None:
-        return None
-    return _dfs(field, q, r, n - r, groups, 0, [], lo, hi)
+    q, r, groups, lo, hi = args
+    return _dfs(field_make(q), r, groups, 0, [], lo, hi)
 
 
-def _run_search(n: int, r: int, q: int, family: tuple, workers: int):
+def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
+    """First [P | I] code recovering every pattern of family(), or None.
+    The family is built and grouped once here; workers split column 0."""
     k = n - r
     if k < 1:
         raise BadParameters(f"need n > {r} so that k >= 1, got n={n}")
     if q ** (r * k) > _SEARCH_CAP:
         raise TooLarge(f"q^(r*k) = {q ** (r * k)} candidates exceed the search cap")
     field = field_make(q)  # validates q, including NotPrimePower
+    groups = _prep_groups(n, r, family())
+    if groups is None:
+        return None
     space = q**r
     workers = max(1, min(workers, space))
+    step = -(-space // workers)
+    chunks = [(q, r, groups, lo, min(lo + step, space)) for lo in range(0, space, step)]
     if workers == 1:
-        cols = _search_chunk((n, r, q, family, 0, space))
+        cols = _search_chunk(chunks[0])
     else:
-        step = -(-space // workers)
-        chunks = [
-            (n, r, q, family, lo, min(lo + step, space))
-            for lo in range(0, space, step)
-        ]
-        cols = None
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_search_chunk, chunks):
-                if result is not None:
-                    cols = result
-                    break
+            cols = next((c for c in pool.map(_search_chunk, chunks) if c is not None), None)
     if cols is None:
         return None
     rows = [
         [cols[j][i] for j in range(k)] + [1 if t == i else 0 for t in range(r)]
         for i in range(r)
     ]
-    return Matrix(field, rows)
+    return LinearCode(
+        Matrix(field, rows), {"construction": "exhaustive_search", **fields, "q": q}
+    )
 
 
 def exhaustive_code_search(
@@ -413,20 +402,9 @@ def exhaustive_code_search(
     order, that recovers every two-burst pattern; None when none exists."""
     if b1 < 1 or b2 < 1:
         raise BadParameters(f"need b1, b2 >= 1, got b1={b1}, b2={b2}")
-    h = _run_search(n, b1 + b2, q, ("two-burst", b1, b2), workers)
-    if h is None:
-        return None
-    return LinearCode(
-        h,
-        {
-            "construction": "exhaustive_search",
-            "family": "two-burst",
-            "n": n,
-            "b1": b1,
-            "b2": b2,
-            "q": q,
-        },
-    )
+    family = functools.partial(enumerate_b1b2_patterns, n, b1, b2)
+    fields = {"family": "two-burst", "n": n, "b1": b1, "b2": b2}
+    return _run_search(n, b1 + b2, q, workers, family, fields)
 
 
 def exhaustive_burst_random_search(
@@ -437,17 +415,6 @@ def exhaustive_burst_random_search(
     exists."""
     if b < 1 or e < 0:
         raise BadParameters(f"need b >= 1 and e >= 0, got b={b}, e={e}")
-    h = _run_search(n, b + e, q, ("burst-random", b, e), workers)
-    if h is None:
-        return None
-    return LinearCode(
-        h,
-        {
-            "construction": "exhaustive_search",
-            "family": "burst-random",
-            "n": n,
-            "b": b,
-            "e": e,
-            "q": q,
-        },
-    )
+    family = functools.partial(enumerate_burst_plus_random, n, b, e)
+    fields = {"family": "burst-random", "n": n, "b": b, "e": e}
+    return _run_search(n, b + e, q, workers, family, fields)

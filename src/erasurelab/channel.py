@@ -43,7 +43,7 @@ class ChannelParams:
 
     def __post_init__(self):
         a, b, e, w = self.a, self.b, self.e, self.w
-        if any(not isinstance(v, int) for v in (a, b, e, w)):
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in (a, b, e, w)):
             raise BadParameters("channel parameters must be integers")
         if b < 1 or e < 1:
             raise BadParameters(f"need b >= 1 and e >= 1, got b={b}, e={e}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .algebra import _json_int
 from .channel import (
     ChannelParams,
     VerificationReport,
@@ -46,7 +47,7 @@ class StreamingParams:
     tau: int
 
     def __post_init__(self):
-        if self.tau < self.channel.w - 1:
+        if _json_int(self.tau, "tau") < self.channel.w - 1:
             raise BadParameters(
                 f"need tau >= w-1 = {self.channel.w - 1}, got {self.tau}"
             )
@@ -83,7 +84,7 @@ class PacketStream:
             self.k,
             self.message_count,
             self.packets,
-            frozenset(int(i) for i in indices),
+            frozenset(_json_int(i, "erased slot index") for i in indices),
         )
 
 
@@ -238,8 +239,7 @@ def is_stream_admissible(loss, length: int, params: ChannelParams) -> bool:
     """True iff every length-w window of the loss sequence is admissible."""
     mask = 0
     for i in loss:
-        i = int(i)
-        if not 0 <= i < length:
+        if not 0 <= _json_int(i, "loss index") < length:
             raise BadParameters(f"loss index {i} outside the stream [0, {length})")
         mask |= 1 << i
     return _count_inadmissible_windows(mask, length, params) == 0

@@ -4,7 +4,8 @@ These are the hand-written elimination loops and the digit-by-digit
 GF(p^m) addition that the library used before it moved to one shared
 elimination routine and Zech-logarithm addition, and the eager pattern-family
 enumerators it used before one burst/union builder and a lazy window walk
-replaced them. They are deliberately left as they were: tests run both sides
+replaced them, and the exhaustive [P | I] search as it was when each chunk
+rebuilt its pattern family from a tag. They are deliberately left as they were: tests run both sides
 on the same inputs and require identical matrices, solutions, verdicts,
 pattern orders, exception types and messages.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from erasurelab.algebra import Matrix, _digits, vectors_independent
+from erasurelab.algebra import Matrix, _digits, field_make, vectors_independent
 from erasurelab.channel import (
     ChannelParams,
     ErasurePattern,
@@ -34,6 +35,7 @@ from erasurelab.errors import (
 )
 
 _SUBSET_CAP = 1 << 20
+_SEARCH_CAP = 1 << 24
 _ENUM_N_CAP = 20
 
 
@@ -412,3 +414,104 @@ def cyclic_burst_capability(code) -> bool:
         if not can_recover(code, ErasurePattern(n, sup)):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# exhaustive [P | I] search, serial, with the family rebuilt from a tag
+# ---------------------------------------------------------------------------
+
+
+def _family_patterns(n: int, family: tuple) -> list[ErasurePattern]:
+    kind = family[0]
+    if kind == "two-burst":
+        return enumerate_b1b2_patterns(n, family[1], family[2])
+    if kind == "burst-random":
+        return enumerate_burst_plus_random(n, family[1], family[2])
+    raise BadParameters(f"unknown pattern family {family!r}")
+
+
+def _prep_groups(n: int, r: int, patterns):
+    """Bucket patterns by their largest information-column index.
+
+    Returns None when some pattern is unsatisfiable by any [P | I] matrix
+    (more erased columns than rows survive the identity part), which decides
+    the whole search. Patterns entirely inside the identity block are always
+    recoverable and dropped.
+    """
+    k = n - r
+    groups: list[list[tuple]] = [[] for _ in range(k)]
+    for pat in patterns:
+        sup = pat.support
+        if len(sup) > r:
+            return None
+        p_cols = tuple(j for j in sup if j < k)
+        if not p_cols:
+            continue
+        id_rows = {j - k for j in sup if j >= k}
+        kept = tuple(i for i in range(r) if i not in id_rows)
+        if len(p_cols) > len(kept):
+            return None
+        groups[max(p_cols)].append((p_cols, kept))
+    for grp in groups:
+        grp.sort(key=lambda item: (len(item[0]), item))
+    return groups
+
+
+def _dfs(field, q: int, r: int, k: int, groups, depth: int, cols, lo: int, hi: int):
+    for v in range(lo, hi):
+        cols.append(_digits(v, q, r))
+        ok = True
+        for p_cols, kept in groups[depth]:
+            vecs = [tuple(cols[c][i] for i in kept) for c in p_cols]
+            if not vectors_independent(field, vecs):
+                ok = False
+                break
+        if ok:
+            if depth + 1 == k:
+                return list(cols)
+            found = _dfs(field, q, r, k, groups, depth + 1, cols, 0, q**r)
+            if found is not None:
+                return found
+        cols.pop()
+    return None
+
+
+def _search_chunk(args):
+    n, r, q, family, lo, hi = args
+    field = field_make(q)
+    groups = _prep_groups(n, r, _family_patterns(n, family))
+    if groups is None:
+        return None
+    return _dfs(field, q, r, n - r, groups, 0, [], lo, hi)
+
+
+def _run_search(n: int, r: int, q: int, family: tuple):
+    k = n - r
+    if k < 1:
+        raise BadParameters(f"need n > {r} so that k >= 1, got n={n}")
+    if q ** (r * k) > _SEARCH_CAP:
+        raise TooLarge(f"q^(r*k) = {q ** (r * k)} candidates exceed the search cap")
+    field = field_make(q)  # validates q, including NotPrimePower
+    space = q**r
+    cols = _search_chunk((n, r, q, family, 0, space))
+    if cols is None:
+        return None
+    rows = [
+        [cols[j][i] for j in range(k)] + [1 if t == i else 0 for t in range(r)]
+        for i in range(r)
+    ]
+    return Matrix(field, rows)
+
+
+def exhaustive_code_search(n: int, b1: int, b2: int, q: int) -> Matrix | None:
+    """The found parity-check matrix of the two-burst search, or None."""
+    if b1 < 1 or b2 < 1:
+        raise BadParameters(f"need b1, b2 >= 1, got b1={b1}, b2={b2}")
+    return _run_search(n, b1 + b2, q, ("two-burst", b1, b2))
+
+
+def exhaustive_burst_random_search(n: int, b: int, e: int, q: int) -> Matrix | None:
+    """The found parity-check matrix of the burst-random search, or None."""
+    if b < 1 or e < 0:
+        raise BadParameters(f"need b >= 1 and e >= 0, got b={b}, e={e}")
+    return _run_search(n, b + e, q, ("burst-random", b, e))

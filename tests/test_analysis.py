@@ -14,6 +14,7 @@ from erasurelab.algebra import (
     poly_divides,
     x_pow_n_minus_1,
 )
+from erasurelab import analysis
 from erasurelab.analysis import (
     cyclic_burst_capability,
     cyclic_report,
@@ -389,6 +390,20 @@ def test_parallel_search_matches_serial():
     serial = exhaustive_code_search(5, 2, 1, 3, workers=1)
     parallel = exhaustive_code_search(5, 2, 1, 3, workers=2)
     assert parallel.h.data == serial.h.data
+
+
+def test_search_family_is_enumerated_once_in_the_caller(monkeypatch):
+    calls = []
+    enumerate_family = analysis.enumerate_b1b2_patterns
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_family(*args)
+
+    monkeypatch.setattr(analysis, "enumerate_b1b2_patterns", counting)
+    found = exhaustive_code_search(5, 2, 1, 3, workers=2)
+    assert calls == [(5, 2, 1)]  # workers scan the groups prepared here
+    assert found.h.data == exhaustive_code_search(5, 2, 1, 3).h.data
 
 
 def test_search_guards():

@@ -43,6 +43,14 @@ def test_channel_params_validation():
         ChannelParams(-1, 1, 1, 3)
 
 
+@pytest.mark.parametrize(
+    "values", [(True, 1, 1, 3), (0, True, 1, 3), (0, 1, True, 3), (0, 1, 1, 3.0), (0, "1", 1, 3)]
+)
+def test_channel_params_reject_bools_and_non_integers(values):
+    with pytest.raises(BadParameters, match="channel parameters must be integers"):
+        ChannelParams(*values)
+
+
 def test_erasure_pattern_canonicalization():
     p = ErasurePattern(6, (4, 1, 2))
     assert p.support == (1, 2, 4)

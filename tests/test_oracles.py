@@ -1,6 +1,7 @@
-"""The shared elimination routine, Zech-logarithm addition and the pattern
-families against the reference code in ``oracles``: same ranks, matrices,
-solutions, verdicts, witnesses, ``patterns_checked`` counts, pattern orders,
+"""The shared elimination routine, Zech-logarithm addition, the pattern
+families and the exhaustive searches against the reference code in
+``oracles``: same ranks, matrices, solutions, verdicts, witnesses,
+``patterns_checked`` counts, pattern orders, first-found parity checks,
 exception types and messages on seeded random inputs."""
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from erasurelab.algebra import (
     systematic_form,
     x_pow_n_minus_1,
 )
-from erasurelab.analysis import cyclic_burst_capability, cyclic_report, mds_subblock_check
+from erasurelab.analysis import (
+    _SEARCH_CAP,
+    cyclic_burst_capability,
+    cyclic_report,
+    exhaustive_burst_random_search,
+    exhaustive_code_search,
+    mds_subblock_check,
+)
 from erasurelab.channel import (
     ChannelParams,
     _bursts,
@@ -232,3 +240,69 @@ def test_cyclic_reports_match_reference(q, max_n):
                 report = cyclic_report(code)
                 assert report.witness == oracles.cyclic_witness(code, report.d)
                 assert cyclic_burst_capability(code) == oracles.cyclic_burst_capability(code)
+
+
+SEARCHES = {
+    "two-burst": (exhaustive_code_search, oracles.exhaustive_code_search),
+    "burst-random": (exhaustive_burst_random_search, oracles.exhaustive_burst_random_search),
+}
+
+
+def _search_outcomes(family, n, p1, p2, q, workers=1):
+    """(library, reference) outcomes; a found code is compared by its H."""
+    search, reference = SEARCHES[family]
+    found = _outcome(search, n, p1, p2, q, workers)
+    if found[0] == "ok" and found[1] is not None:
+        found = ("ok", found[1].h)
+    return found, _outcome(reference, n, p1, p2, q)
+
+
+def _search_instances(q):
+    """Every two-burst (b1 + b2 = r) and burst-random (b + e = r) search
+    with n <= 6 over GF(q) that fits under the search cap."""
+    for n in range(2, 7):
+        for r in range(1, n):
+            if q ** (r * (n - r)) > _SEARCH_CAP:
+                continue
+            for p1 in range(1, r):
+                yield "two-burst", n, p1, r - p1, q
+            for p1 in range(1, r + 1):
+                yield "burst-random", n, p1, r - p1, q
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_searches_match_reference(q):
+    results = [_search_outcomes(*inst) for inst in _search_instances(q)]
+    assert len(results) == 55  # 20 two-burst and 35 burst-random instances
+    assert all(found == ref and found[0] == "ok" for found, ref in results)
+
+
+@pytest.mark.parametrize("family, n, p1, p2, q", [
+    ("two-burst", 3, 2, 1, 2),  # k < 1
+    ("two-burst", 4, 5, 1, 2),  # b1 > n
+    ("two-burst", 5, 2, 0, 2),
+    ("two-burst", 8, 2, 1, 4),  # over the search cap
+    ("two-burst", 5, 2, 1, 6),  # not a prime power
+    ("two-burst", 5, 2, 1, 1),
+    ("burst-random", 5, 2, -1, 2),  # e < 0
+    ("burst-random", 5, 0, 1, 2),
+    ("burst-random", 4, 5, 0, 2),  # b > n
+    ("burst-random", 21, 1, 0, 2),  # over the enumeration cap
+    ("burst-random", 20, 1, 18, 2),  # over the raw-pattern cap
+])
+def test_search_errors_match_reference(family, n, p1, p2, q):
+    found, ref = _search_outcomes(family, n, p1, p2, q)
+    assert found[0] == "raise"
+    assert found == ref
+
+
+@pytest.mark.parametrize("family, n, p1, p2, q", [
+    ("two-burst", 5, 2, 1, 3),
+    ("two-burst", 5, 2, 1, 2),  # no code exists
+    ("two-burst", 6, 2, 2, 2),
+    ("burst-random", 6, 2, 1, 3),
+    ("burst-random", 5, 1, 1, 4),
+])
+def test_parallel_searches_match_reference(family, n, p1, p2, q):
+    found, ref = _search_outcomes(family, n, p1, p2, q, workers=2)
+    assert found == ref

@@ -1,7 +1,7 @@
 """Static checks on the package source: no module imports a name it never
-uses, and every module-level private function is referenced somewhere in
-the package. ``__init__.py`` is exempt from the import check because its
-imports are the public re-exports."""
+uses, every module-level private function is referenced somewhere in the
+package and reads every parameter it takes. ``__init__.py`` is exempt from
+the import check because its imports are the public re-exports."""
 
 import ast
 from pathlib import Path
@@ -56,3 +56,23 @@ def test_no_unreferenced_private_functions():
         and node.name not in referenced
     ]
     assert dead == []
+
+
+def test_private_functions_read_every_parameter():
+    unread = []
+    for name, tree in _modules().items():
+        for fn in tree.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not fn.name.startswith("_") or fn.name.startswith("__"):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            read = {
+                n.id
+                for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [f"{name}: {fn.name}({p})" for p in params if p not in read]
+    assert unread == []

@@ -61,6 +61,12 @@ def test_streaming_params_deadline_floor():
         StreamingParams(ch, 6)
 
 
+@pytest.mark.parametrize("tau", [7.0, 2.5, "7", True, None])
+def test_streaming_params_reject_non_integer_deadline(tau):
+    with pytest.raises(BadParameters, match="tau must be an integer"):
+        StreamingParams(ChannelParams(1, 3, 1, 8), tau)
+
+
 def test_de_encode_shape_and_systematic_prefix():
     msgs = _random_messages(4, 3, 5, seed=3)
     stream = de_encode(CODE831, msgs)
@@ -148,6 +154,19 @@ def test_packet_stream_validation():
     lossy = stream.with_erasures((0, 5))
     assert lossy.erased == frozenset({0, 5})
     assert stream.erased == frozenset()  # original untouched
+
+
+@pytest.mark.parametrize("indices", [[1.5], ["2"], [True], [1, True], [1.0, 2]])
+def test_with_erasures_rejects_non_integer_indices(indices):
+    stream = de_encode(CODE831, [(1, 2, 0, 1)])
+    with pytest.raises(BadParameters, match="erased slot index must be an integer"):
+        stream.with_erasures(indices)
+
+
+@pytest.mark.parametrize("loss", [[1.9, "3"], [True], [1, True], ["0"], [2.0]])
+def test_stream_admissibility_rejects_non_integer_indices(loss):
+    with pytest.raises(BadParameters, match="loss index must be an integer"):
+        is_stream_admissible(loss, 10, ChannelParams(1, 2, 1, 5))
 
 
 def test_is_stream_admissible():
