@@ -7,6 +7,8 @@ contains a pattern covering exactly those coordinates), so row reduction puts
 its parity-check matrix in that form and the restriction loses no codes.
 Candidates are scanned in ascending column-encoding order, column by column
 with pruning, so "first found" is well defined and worker-count independent.
+Only the smallest column of each scaling class is scanned: scaling a column
+keeps every pattern recoverable, so the first valid matrix has no other.
 """
 
 from __future__ import annotations
@@ -19,7 +21,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Matrix, _digits, _eliminate, field_make, vectors_independent, zrun
+from .algebra import (
+    Matrix,
+    _digits,
+    _eliminate,
+    _push,
+    _reduce,
+    field_make,
+    vectors_independent,
+    zrun,
+)
 from .channel import (
     ChannelParams,
     ErasurePattern,
@@ -42,6 +53,9 @@ from .errors import (
 
 _SEARCH_CAP = 1 << 24
 _SUBSET_CAP = 1 << 20
+# a parallel search cuts column 0 into about this many chunks per worker, so
+# a hit cancels the rest and early chunks keep every worker busy
+_CHUNKS_PER_WORKER = 4
 
 
 # ---------------------------------------------------------------------------
@@ -338,34 +352,62 @@ def _prep_groups(n: int, r: int, patterns):
     return groups
 
 
-def _dfs(field, r: int, groups, depth: int, cols, lo: int, hi: int):
+def _normalized(q: int, r: int):
+    """0, then every column whose highest nonzero digit is 1, ascending.
+
+    These are the smallest encodings in each scaling class {c*v : c != 0}.
+    Scaling a column of P keeps every pattern recoverable, so the first valid
+    [P | I] in scan order is made of such columns only.
+    """
+    return itertools.chain((0,), *(range(q**t, 2 * q**t) for t in range(r)))
+
+
+def _dfs(field, r: int, groups, depth: int, cols, candidates):
+    """First valid completion of cols (columns 0..depth-1 of P) with column
+    depth taken from candidates, or None.
+
+    Every pattern in groups[depth] ends at column depth, so its other columns
+    are fixed here: they are reduced once into a pivot basis over the kept
+    rows, and a candidate passes when its kept rows reduce to nonzero against
+    every basis.
+    """
+    bases = []
+    for p_cols, kept in groups[depth]:
+        basis: list = []
+        for c in p_cols[:-1]:
+            if not _push(field, basis, [cols[c][i] for i in kept]):
+                return None
+        bases.append((kept, basis))
     q = field.q
-    for v in range(lo, hi):
-        cols.append(_digits(v, q, r))
-        ok = True
-        for p_cols, kept in groups[depth]:
-            vecs = [tuple(cols[c][i] for i in kept) for c in p_cols]
-            if not vectors_independent(field, vecs):
-                ok = False
+    for v in candidates:
+        col = _digits(v, q, r)
+        for kept, basis in bases:
+            if not any(_reduce(field, basis, [col[i] for i in kept])):
                 break
-        if ok:
+        else:
+            cols.append(col)
             if depth + 1 == len(groups):
                 return list(cols)
-            found = _dfs(field, r, groups, depth + 1, cols, 0, q**r)
+            found = _dfs(field, r, groups, depth + 1, cols, _normalized(q, r))
             if found is not None:
                 return found
-        cols.pop()
+            cols.pop()
     return None
 
 
 def _search_chunk(args):
+    """Scan column 0 over positions [lo, hi) of the normalized sequence."""
     q, r, groups, lo, hi = args
-    return _dfs(field_make(q), r, groups, 0, [], lo, hi)
+    return _dfs(field_make(q), r, groups, 0, [], itertools.islice(_normalized(q, r), lo, hi))
 
 
 def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
     """First [P | I] code recovering every pattern of family(), or None.
-    The family is built and grouped once here; workers split column 0."""
+
+    The family is built and grouped once here. Workers scan chunks of column
+    0's normalized candidates; results are read in scan order, so the first
+    hit is the serial one, and the chunks not yet started are then cancelled.
+    """
     k = n - r
     if k < 1:
         raise BadParameters(f"need n > {r} so that k >= 1, got n={n}")
@@ -375,15 +417,18 @@ def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
     groups = _prep_groups(n, r, family())
     if groups is None:
         return None
-    space = q**r
+    space = 1 + (q**r - 1) // (q - 1)  # length of _normalized(q, r)
     workers = max(1, min(workers, space))
-    step = -(-space // workers)
-    chunks = [(q, r, groups, lo, min(lo + step, space)) for lo in range(0, space, step)]
     if workers == 1:
-        cols = _search_chunk(chunks[0])
+        cols = _search_chunk((q, r, groups, 0, space))
     else:
+        step = -(-space // min(space, workers * _CHUNKS_PER_WORKER))
+        chunks = [(q, r, groups, lo, min(lo + step, space)) for lo in range(0, space, step)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cols = next((c for c in pool.map(_search_chunk, chunks) if c is not None), None)
+            futures = [pool.submit(_search_chunk, c) for c in chunks]
+            cols = next((c for c in (f.result() for f in futures) if c is not None), None)
+            for f in futures:
+                f.cancel()
     if cols is None:
         return None
     rows = [

@@ -47,6 +47,8 @@ class StreamingParams:
     tau: int
 
     def __post_init__(self):
+        if not isinstance(self.channel, ChannelParams):
+            raise BadParameters(f"channel must be ChannelParams, got {self.channel!r}")
         if _json_int(self.tau, "tau") < self.channel.w - 1:
             raise BadParameters(
                 f"need tau >= w-1 = {self.channel.w - 1}, got {self.tau}"
@@ -74,8 +76,9 @@ class PacketStream:
             raise DimensionMismatch("packet count must be message_count + n - 1")
         if any(len(p) != self.n for p in self.packets):
             raise DimensionMismatch("every packet must carry n symbols")
-        if any(not 0 <= t < len(self.packets) for t in self.erased):
-            raise BadParameters("erased slot index out of range")
+        for t in self.erased:
+            if not 0 <= _json_int(t, "erased slot index") < len(self.packets):
+                raise BadParameters("erased slot index out of range")
 
     def with_erasures(self, indices) -> "PacketStream":
         return PacketStream(

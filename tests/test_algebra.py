@@ -12,6 +12,8 @@ from erasurelab.algebra import (
     Field,
     Matrix,
     Poly,
+    _push,
+    _reduce,
     columns_independent,
     field_make,
     mat_rank,
@@ -335,6 +337,32 @@ def test_vectors_independent_matches_rank():
         vecs = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(rng.randint(1, 5))]
         expect = mat_rank(Matrix(f, vecs)) == len(vecs)
         assert vectors_independent(f, vecs) == expect
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_pivot_basis_matches_rank(q):
+    """_push adds exactly the vectors that raise the rank; _reduce then
+    sends exactly the vectors in the span to zero."""
+    rng = random.Random(q)
+    f = field_make(q)
+    for _ in range(150):
+        dim = rng.randint(1, 5)
+        vecs = [[rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(dim)]
+                for _ in range(rng.randint(1, dim + 1))]
+        basis = []
+        pushed = [_push(f, basis, v) for v in vecs]
+        ranks = [0] + [mat_rank(Matrix(f, vecs[: i + 1])) for i in range(len(vecs))]
+        assert pushed == [ranks[i + 1] > ranks[i] for i in range(len(vecs))]
+        assert all(pushed) == vectors_independent(f, vecs)
+        rank = ranks[-1]
+        assert len(basis) == rank
+        for lead, row in basis:
+            assert row[lead] == 1
+        probe = [rng.randrange(q) for _ in range(dim)]
+        in_span = mat_rank(Matrix(f, vecs + [probe])) == rank
+        reduced = _reduce(f, basis, probe)
+        assert all(reduced[lead] == 0 for lead, _ in basis)
+        assert (not any(reduced)) == in_span
 
 
 def test_matmul_and_columns_independent():

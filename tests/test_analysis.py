@@ -9,6 +9,7 @@ import pytest
 from erasurelab.algebra import (
     Matrix,
     Poly,
+    _digits,
     field_make,
     mat_rank,
     poly_divides,
@@ -384,6 +385,23 @@ def test_search_over_gf4():
         (1, 1, 1, 0, 0, 1),
     )
     assert is_b1b2_code(found, 2, 1).verdict is True
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_normalized_columns_are_the_scaling_class_minima(q, r):
+    f = field_make(q)
+
+    def encode(digits):
+        return sum(d * q**i for i, d in enumerate(digits))
+
+    minima = {0}
+    for v in range(1, q**r):
+        digits = _digits(v, q, r)
+        minima.add(min(encode([f.mul(c, d) for d in digits]) for c in range(1, q)))
+    scan = list(analysis._normalized(q, r))
+    assert scan == sorted(minima)
+    assert len(scan) == 1 + (q**r - 1) // (q - 1)
 
 
 def test_parallel_search_matches_serial():

@@ -26,6 +26,7 @@ from erasurelab.algebra import (
 )
 from erasurelab.analysis import (
     _SEARCH_CAP,
+    _normalized,
     cyclic_burst_capability,
     cyclic_report,
     exhaustive_burst_random_search,
@@ -257,10 +258,10 @@ def _search_outcomes(family, n, p1, p2, q, workers=1):
     return found, _outcome(reference, n, p1, p2, q)
 
 
-def _search_instances(q):
+def _search_instances(q, max_n=6):
     """Every two-burst (b1 + b2 = r) and burst-random (b + e = r) search
-    with n <= 6 over GF(q) that fits under the search cap."""
-    for n in range(2, 7):
+    with n <= max_n over GF(q) that fits under the search cap."""
+    for n in range(2, max_n + 1):
         for r in range(1, n):
             if q ** (r * (n - r)) > _SEARCH_CAP:
                 continue
@@ -274,6 +275,14 @@ def _search_instances(q):
 def test_searches_match_reference(q):
     results = [_search_outcomes(*inst) for inst in _search_instances(q)]
     assert len(results) == 55  # 20 two-burst and 35 burst-random instances
+    assert all(found == ref and found[0] == "ok" for found, ref in results)
+
+
+@pytest.mark.parametrize("q", (7, 8, 9))
+def test_searches_over_larger_fields_match_reference(q):
+    """GF(7), the characteristic-2 GF(8) and the Zech-logarithm GF(9)."""
+    results = [_search_outcomes(*inst) for inst in _search_instances(q, max_n=5)]
+    assert len(results) == 30  # 10 two-burst and 20 burst-random instances
     assert all(found == ref and found[0] == "ok" for found, ref in results)
 
 
@@ -306,3 +315,14 @@ def test_search_errors_match_reference(family, n, p1, p2, q):
 def test_parallel_searches_match_reference(family, n, p1, p2, q):
     found, ref = _search_outcomes(family, n, p1, p2, q, workers=2)
     assert found == ref
+
+
+def test_parallel_search_with_its_hit_in_a_later_chunk():
+    """Two workers cut GF(3)'s 122 normalized r = 5 columns into 8 chunks of
+    16; the first H for burst 1 + 4 random at n = 6 starts with the
+    candidate at position 81, in the sixth chunk, so the five chunks before
+    it finish empty and the two after it are cancelled or discarded."""
+    found, ref = _search_outcomes("burst-random", 6, 1, 4, 3, workers=2)
+    assert found == ref and found[1] is not None
+    col0 = sum(row[0] * 3**i for i, row in enumerate(found[1].data))
+    assert list(_normalized(3, 5)).index(col0) == 81

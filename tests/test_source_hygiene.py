@@ -1,7 +1,8 @@
 """Static checks on the package source: no module imports a name it never
 uses, every module-level private function is referenced somewhere in the
-package and reads every parameter it takes. ``__init__.py`` is exempt from
-the import check because its imports are the public re-exports."""
+package and reads every parameter it takes, and no function rebinds module
+state through ``global``. ``__init__.py`` is exempt from the import check
+because its imports are the public re-exports."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,15 @@ def test_private_functions_read_every_parameter():
             }
             unread += [f"{name}: {fn.name}({p})" for p in params if p not in read]
     assert unread == []
+
+
+def test_no_global_statements():
+    """Tables, bases and counters belong to the call that builds them, not
+    to module state shared by every caller in the process."""
+    found = [
+        f"{name}:{node.lineno}: global {', '.join(node.names)}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []

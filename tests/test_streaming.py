@@ -67,6 +67,12 @@ def test_streaming_params_reject_non_integer_deadline(tau):
         StreamingParams(ChannelParams(1, 3, 1, 8), tau)
 
 
+@pytest.mark.parametrize("channel", [(1, 3, 1, 8), None, {"a": 1, "b": 3, "e": 1, "w": 8}])
+def test_streaming_params_reject_a_channel_of_another_type(channel):
+    with pytest.raises(BadParameters, match="channel must be ChannelParams"):
+        StreamingParams(channel, 7)
+
+
 def test_de_encode_shape_and_systematic_prefix():
     msgs = _random_messages(4, 3, 5, seed=3)
     stream = de_encode(CODE831, msgs)
@@ -161,6 +167,13 @@ def test_with_erasures_rejects_non_integer_indices(indices):
     stream = de_encode(CODE831, [(1, 2, 0, 1)])
     with pytest.raises(BadParameters, match="erased slot index must be an integer"):
         stream.with_erasures(indices)
+
+
+@pytest.mark.parametrize("erased", [{1.5, True}, {1.5}, {"2"}, {True}, {2.0, 3}])
+def test_packet_stream_rejects_non_integer_erasures(erased):
+    packets = ((0, 0, 0),) * 3
+    with pytest.raises(BadParameters, match="erased slot index must be an integer"):
+        PacketStream(2, 3, 1, 1, packets, frozenset(erased))
 
 
 @pytest.mark.parametrize("loss", [[1.9, "3"], [True], [1, True], ["0"], [2.0]])
