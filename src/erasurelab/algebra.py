@@ -554,34 +554,42 @@ def mat_rank(m: Matrix) -> int:
     return len(_eliminate(m.field, [list(r) for r in m.data], range(m.ncols)))
 
 
+def _reduce(field: Field, basis, vec) -> list[int]:
+    """vec reduced against a pivot basis of (lead, row) pairs, each row 1 at
+    its own lead and 0 at the leads before it. The result is 0 at every lead,
+    and all zero iff vec lies in the span of the basis.
+    """
+    mul, sub = field.mul, field.sub
+    v = list(vec)
+    for lead, row in basis:
+        c = v[lead]
+        if c:
+            for i, x in enumerate(row):
+                if x:
+                    v[i] = sub(v[i], mul(c, x))
+    return v
+
+
+def _push(field: Field, basis: list, vec) -> bool:
+    """Append vec, reduced and scaled to 1 at its lead, to the basis; False
+    (basis unchanged) when vec depends on it."""
+    v = _reduce(field, basis, vec)
+    for lead, x in enumerate(v):
+        if x:
+            inv = field.inv(x)
+            basis.append((lead, [field.mul(inv, y) for y in v]))
+            return True
+    return False
+
+
 def vectors_independent(field: Field, vectors) -> bool:
     """True iff the given coordinate tuples are linearly independent.
 
-    Incremental elimination against an accumulated pivot basis; this is the
-    hot path behind every pattern-recoverability check.
+    Each vector is pushed onto one pivot basis; this is the hot path behind
+    every pattern-recoverability check.
     """
-    pivots: list[tuple[int, list[int]]] = []
-    for vec in vectors:
-        v = list(vec)
-        for prow, pvec in pivots:
-            c = v[prow]
-            if c:
-                mul = field.mul
-                sub = field.sub
-                for i, px in enumerate(pvec):
-                    if px:
-                        v[i] = sub(v[i], mul(c, px))
-        lead = None
-        for i, x in enumerate(v):
-            if x:
-                lead = i
-                break
-        if lead is None:
-            return False
-        inv = field.inv(v[lead])
-        v = [field.mul(inv, x) for x in v]
-        pivots.append((lead, v))
-    return True
+    basis: list = []
+    return all(_push(field, basis, v) for v in vectors)
 
 
 def columns_independent(m: Matrix, cols) -> bool:
@@ -636,35 +644,3 @@ def solve_for_columns(h: Matrix, cols, syndrome) -> list[int]:
         if aug[r][k]:
             raise InconsistentSyndrome("known symbols contradict the code")
     return [aug[i][k] for i in range(k)]
-
-
-def _reduce(field: Field, basis, vec) -> list[int]:
-    """vec reduced against a pivot basis of (lead, row) pairs, each row 1 at
-    its own lead and 0 at the leads before it. The result is 0 at every lead,
-    and all zero iff vec lies in the span of the basis.
-
-    ``vectors_independent`` keeps its own copy of this loop: routing it
-    through here made the verifiers slower (ops/s lower and median latency
-    higher in 5 of 6 benchmark pairs on verify-pass).
-    """
-    mul, sub = field.mul, field.sub
-    v = list(vec)
-    for lead, row in basis:
-        c = v[lead]
-        if c:
-            for i, x in enumerate(row):
-                if x:
-                    v[i] = sub(v[i], mul(c, x))
-    return v
-
-
-def _push(field: Field, basis: list, vec) -> bool:
-    """Append vec, reduced and scaled to 1 at its lead, to the basis; False
-    (basis unchanged) when vec depends on it."""
-    v = _reduce(field, basis, vec)
-    for lead, x in enumerate(v):
-        if x:
-            inv = field.inv(x)
-            basis.append((lead, [field.mul(inv, y) for y in v]))
-            return True
-    return False

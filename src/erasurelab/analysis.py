@@ -53,9 +53,6 @@ from .errors import (
 
 _SEARCH_CAP = 1 << 24
 _SUBSET_CAP = 1 << 20
-# a parallel search cuts column 0 into about this many chunks per worker, so
-# a hit cancels the rest and early chunks keep every worker busy
-_CHUNKS_PER_WORKER = 4
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +401,9 @@ def _search_chunk(args):
 def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
     """First [P | I] code recovering every pattern of family(), or None.
 
-    The family is built and grouped once here. Workers scan chunks of column
-    0's normalized candidates; results are read in scan order, so the first
-    hit is the serial one, and the chunks not yet started are then cancelled.
+    The family is built and grouped once here. Workers scan consecutive
+    ranges of column 0's normalized candidates; results are read in scan
+    order, so the first hit is the serial one.
     """
     k = n - r
     if k < 1:
@@ -419,16 +416,13 @@ def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
         return None
     space = 1 + (q**r - 1) // (q - 1)  # length of _normalized(q, r)
     workers = max(1, min(workers, space))
+    step = -(-space // workers)
+    chunks = [(q, r, groups, lo, min(lo + step, space)) for lo in range(0, space, step)]
     if workers == 1:
-        cols = _search_chunk((q, r, groups, 0, space))
+        cols = _search_chunk(chunks[0])
     else:
-        step = -(-space // min(space, workers * _CHUNKS_PER_WORKER))
-        chunks = [(q, r, groups, lo, min(lo + step, space)) for lo in range(0, space, step)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_search_chunk, c) for c in chunks]
-            cols = next((c for c in (f.result() for f in futures) if c is not None), None)
-            for f in futures:
-                f.cancel()
+            cols = next((c for c in pool.map(_search_chunk, chunks) if c is not None), None)
     if cols is None:
         return None
     rows = [

@@ -27,6 +27,7 @@ from erasurelab.algebra import (
 from erasurelab.analysis import (
     _SEARCH_CAP,
     _normalized,
+    _run_search,
     cyclic_burst_capability,
     cyclic_report,
     exhaustive_burst_random_search,
@@ -318,11 +319,20 @@ def test_parallel_searches_match_reference(family, n, p1, p2, q):
 
 
 def test_parallel_search_with_its_hit_in_a_later_chunk():
-    """Two workers cut GF(3)'s 122 normalized r = 5 columns into 8 chunks of
-    16; the first H for burst 1 + 4 random at n = 6 starts with the
-    candidate at position 81, in the sixth chunk, so the five chunks before
-    it finish empty and the two after it are cancelled or discarded."""
+    """Two workers cut GF(3)'s 122 normalized r = 5 columns into 2 chunks of
+    61; the first H for burst 1 + 4 random at n = 6 starts with the
+    candidate at position 81, in the second chunk, so the first chunk
+    finishes empty."""
     found, ref = _search_outcomes("burst-random", 6, 1, 4, 3, workers=2)
     assert found == ref and found[1] is not None
     col0 = sum(row[0] * 3**i for i, row in enumerate(found[1].data))
     assert list(_normalized(3, 5)).index(col0) == 81
+
+
+def test_parallel_search_reads_the_first_chunk_first():
+    """With no pattern to recover, every chunk hits at its first candidate;
+    only the first chunk starts with the zero column, so a worker-count
+    independent result has column 0 of P all zero."""
+    code = _run_search(4, 2, 3, 2, lambda: [], {})
+    assert [row[0] for row in code.h.data] == [0, 0]
+    assert code.h.data == _run_search(4, 2, 3, 1, lambda: [], {}).h.data
