@@ -583,13 +583,34 @@ def _push(field: Field, basis: list, vec) -> bool:
 
 
 def vectors_independent(field: Field, vectors) -> bool:
-    """True iff the given coordinate tuples are linearly independent.
-
-    Each vector is pushed onto one pivot basis; this is the hot path behind
-    every pattern-recoverability check.
-    """
+    """True iff the given coordinate tuples are linearly independent."""
     basis: list = []
     return all(_push(field, basis, v) for v in vectors)
+
+
+def _first_dependent(field: Field, cols, supports):
+    """(supports walked, the first whose cols are dependent, or None).
+
+    A support is a tuple of indices into cols. One pivot basis is carried
+    along: it is cut back to the prefix each support shares with the one
+    before, and only the rest is pushed. That is right in any order, and in
+    lexicographic order it is about one push per support.
+    """
+    basis: list = []
+    prev: tuple = ()
+    checked = 0
+    for sup in supports:
+        checked += 1
+        keep = 0
+        for a, b in zip(prev, sup):
+            if a != b:
+                break
+            keep += 1
+        del basis[keep:]
+        if not all(_push(field, basis, cols[j]) for j in sup[keep:]):
+            return checked, sup
+        prev = sup
+    return checked, None
 
 
 def columns_independent(m: Matrix, cols) -> bool:

@@ -24,21 +24,19 @@ from fractions import Fraction
 from .algebra import (
     Matrix,
     _digits,
-    _eliminate,
+    _first_dependent,
     _push,
     _reduce,
+    columns_independent,
     field_make,
-    vectors_independent,
     zrun,
 )
 from .channel import (
     ChannelParams,
     ErasurePattern,
     _bursts,
-    _pattern_from_mask,
     _unions,
     _verify_family,
-    can_recover,
     enumerate_b1b2_patterns,
     enumerate_burst_plus_random,
 )
@@ -149,9 +147,13 @@ def sparsity_minimum(n: int, b: int) -> int:
 
 
 def mds_subblock_check(code: LinearCode, b: int, e: int) -> bool:
-    """Row-reduce H so the first b columns become [I_b; 0] and test whether
-    the bottom-right e x (n-b) block generates an [n-b, e] MDS code (every e
-    of its columns independent).
+    """Whether, once H is row-reduced so the first b columns become
+    [I_b; 0], the bottom-right e x (n-b) block generates an [n-b, e] MDS
+    code (every e of its columns independent).
+
+    Row operations keep every column dependency, so the check runs on H
+    itself: the first b columns are independent (StructureViolation if not),
+    and so is each set of them together with e of the other columns.
 
     Any code recovering one length-b burst plus e random erasures must pass;
     this is the structural core of the field-size bound.
@@ -161,19 +163,12 @@ def mds_subblock_check(code: LinearCode, b: int, e: int) -> bool:
     h = code.h
     if h.nrows != b + e:
         raise BadParameters(f"need n-k = b+e = {b + e}, got {h.nrows} parity rows")
-    f = code.field
-    rows = [list(r) for r in h.data]
-    if len(_eliminate(f, rows, range(b))) < b:
+    if not columns_independent(h, range(b)):
         raise StructureViolation("first b columns are linearly dependent")
-    block = [row[b:] for row in rows[b:]]
-    n_sub = code.n - b
-    if math.comb(n_sub, e) > _SUBSET_CAP:
-        raise TooLarge(f"C({n_sub},{e}) column subsets exceed the cap")
-    cols = [tuple(row[j] for row in block) for j in range(n_sub)]
-    return all(
-        vectors_independent(f, [cols[j] for j in combo])
-        for combo in itertools.combinations(range(n_sub), e)
-    )
+    if math.comb(code.n - b, e) > _SUBSET_CAP:
+        raise TooLarge(f"C({code.n - b},{e}) column subsets exceed the cap")
+    family = (tuple(range(b)) + s for s in itertools.combinations(range(b, code.n), e))
+    return _first_dependent(code.field, list(zip(*h.data)), family)[1] is None
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +290,7 @@ def cyclic_burst_capability(code: CyclicCode) -> bool:
     if not isinstance(code, CyclicCode):
         raise WrongProvenance("needs a code built by cyclic_from_h")
     n, r = code.n, code.n - code.k
-    return all(
-        can_recover(code, _pattern_from_mask(n, m)) for m in _bursts(n, [r], cyclic=True)
-    )
+    return _verify_family(code, _unions(n, _bursts(n, [r], cyclic=True), [0])).verdict
 
 
 # ---------------------------------------------------------------------------

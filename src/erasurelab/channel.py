@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import _json_int, columns_independent, solve_for_columns
+from .algebra import _first_dependent, _json_int, columns_independent, solve_for_columns
 from .codes import LinearCode
 from .errors import (
     BadParameters,
@@ -135,8 +135,8 @@ def is_window_admissible(pattern: ErasurePattern, params: ChannelParams) -> bool
     return _mask_admissible(pattern.mask(), params)
 
 
-def _admissible_masks(params: ChannelParams):
-    """Admissible window masks, lexicographic by support (empty first).
+def _admissible_supports(params: ChannelParams):
+    """Admissible window supports, lexicographic (empty first).
 
     A pre-order walk of the set-enumeration tree: each set is followed by its
     extensions with larger indices. Admissibility is closed under taking
@@ -145,23 +145,19 @@ def _admissible_masks(params: ChannelParams):
     w = params.w
     if w > _ENUM_N_CAP:
         raise TooLarge(f"2^{w} window patterns exceed the enumeration cap")
-    stack = [(0, 0)]
+    stack = [(0, ())]
     while stack:
-        mask, lo = stack.pop()
-        yield mask
-        for i in range(w - 1, lo - 1, -1):
+        mask, sup = stack.pop()
+        yield sup
+        for i in range(w - 1, sup[-1] if sup else -1, -1):
             ext = mask | 1 << i
             if _mask_admissible(ext, params):
-                stack.append((ext, i + 1))
+                stack.append((ext, sup + (i,)))
 
 
 def enumerate_admissible_windows(params: ChannelParams) -> list[ErasurePattern]:
     """All admissible window patterns, lexicographic by support (empty first)."""
-    return [_pattern_from_mask(params.w, m) for m in _admissible_masks(params)]
-
-
-def _pattern_from_mask(n: int, mask: int) -> ErasurePattern:
-    return ErasurePattern(n, tuple(i for i in range(n) if (mask >> i) & 1))
+    return [ErasurePattern(params.w, s) for s in _admissible_supports(params)]
 
 
 def _bursts(n: int, lengths, cyclic: bool = False) -> list[int]:
@@ -178,10 +174,18 @@ def _bursts(n: int, lengths, cyclic: bool = False) -> list[int]:
     return out
 
 
-def _unions(n: int, xs, ys) -> list[ErasurePattern]:
-    """Every distinct x | y over the two mask lists, sorted by support."""
+def _unions(n: int, xs, ys) -> list[tuple[int, ...]]:
+    """The support of every distinct x | y over the two mask lists, sorted."""
     masks = {x | y for x in xs for y in ys}
-    return sorted((_pattern_from_mask(n, m) for m in masks), key=lambda p: p.support)
+    return sorted(tuple(i for i in range(n) if m >> i & 1) for m in masks)
+
+
+def _two_bursts(n: int, b1: int, b2: int) -> list[tuple[int, ...]]:
+    if n < 1 or b1 < 1 or b2 < 1 or b1 > n or b2 > n:
+        raise BadParameters(f"bad burst enumeration parameters n={n}, b1={b1}, b2={b2}")
+    if n > _ENUM_N_CAP:
+        raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
+    return _unions(n, _bursts(n, range(1, b1 + 1)), _bursts(n, range(1, b2 + 1)))
 
 
 def enumerate_b1b2_patterns(n: int, b1: int, b2: int) -> list[ErasurePattern]:
@@ -190,11 +194,7 @@ def enumerate_b1b2_patterns(n: int, b1: int, b2: int) -> list[ErasurePattern]:
     Overlapping and abutting bursts are allowed, so every single burst of
     length <= max(b1, b2) appears too. Deduplicated, lexicographic order.
     """
-    if n < 1 or b1 < 1 or b2 < 1 or b1 > n or b2 > n:
-        raise BadParameters(f"bad burst enumeration parameters n={n}, b1={b1}, b2={b2}")
-    if n > _ENUM_N_CAP:
-        raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
-    return _unions(n, _bursts(n, range(1, b1 + 1)), _bursts(n, range(1, b2 + 1)))
+    return [ErasurePattern(n, s) for s in _two_bursts(n, b1, b2)]
 
 
 def enumerate_burst_plus_random(n: int, b: int, e: int) -> list[ErasurePattern]:
@@ -215,7 +215,7 @@ def enumerate_burst_plus_random(n: int, b: int, e: int) -> list[ErasurePattern]:
         for j in range(min(e, n) + 1)
         for extra in itertools.combinations(range(n), j)
     ]
-    return _unions(n, bursts, extras)
+    return [ErasurePattern(n, s) for s in _unions(n, bursts, extras)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +266,17 @@ def decode_erasures(code: LinearCode, received) -> list[int]:
     return out
 
 
-def _verify_family(code: LinearCode, patterns) -> VerificationReport:
-    checked = 0
-    for pat in patterns:
-        checked += 1
-        if not can_recover(code, pat):
-            return VerificationReport(False, pat, checked)
-    return VerificationReport(True, None, checked)
+def _verify_family(code: LinearCode, supports) -> VerificationReport:
+    """Report on the supports in the order given; the first one whose
+    parity-check columns are dependent is the witness."""
+    checked, bad = _first_dependent(code.field, list(zip(*code.h.data)), supports)
+    witness = None if bad is None else ErasurePattern(code.n, bad)
+    return VerificationReport(bad is None, witness, checked)
 
 
 def is_b1b2_code(code: LinearCode, b1: int, b2: int) -> VerificationReport:
     """Verify recovery of every two-burst pattern (lengths <= b1 and <= b2)."""
-    return _verify_family(code, enumerate_b1b2_patterns(code.n, b1, b2))
+    return _verify_family(code, _two_bursts(code.n, b1, b2))
 
 
 def check_wraparound(code: LinearCode, b1: int, b2: int) -> VerificationReport:
@@ -286,7 +285,7 @@ def check_wraparound(code: LinearCode, b1: int, b2: int) -> VerificationReport:
     Only meaningful (and only allowed) when b1 divides n.
     """
     n = code.n
-    if n % b1 != 0:
+    if b1 >= 1 and n % b1 != 0:
         raise DivisibilityViolation(f"b1={b1} must divide n={n} for wrap-around bursts")
     if n < 1 or b1 < 1 or b2 < 1 or b2 > b1:
         raise BadParameters(f"bad parameters n={n}, b1={b1}, b2={b2}")

@@ -15,13 +15,13 @@ from .algebra import (
     Matrix,
     Poly,
     _eliminate,
+    _first_dependent,
     _json_int,
     field_make,
     mat_rank,
     poly_divides,
     smallest_prime_power_at_least,
     systematic_form,
-    vectors_independent,
     x_pow_n_minus_1,
 )
 from .errors import (
@@ -170,40 +170,24 @@ def mds_code(n: int, r: int, q: int | None = None) -> LinearCode:
     """
     if not 1 <= r < n:
         raise BadParameters(f"need 1 <= r < n, got r={r}, n={n}")
-    q_min = smallest_prime_power_at_least(n)
-    if q is None:
-        q = q_min
-    else:
-        try:
-            field_make(q)
-        except Exception as exc:
-            raise BadFieldOverride(f"q={q} is not a usable field size") from exc
-        if q < n:
-            raise BadFieldOverride(f"q={q} < n={n}: evaluation points collide")
-    f = field_make(q)
+    f = _field_of_size(n, q, f"q={q} < n={n}: evaluation points collide")
     h = Matrix(f, [[f.pow(j, i) for j in range(n)] for i in range(r)])
-    return LinearCode(h, {"construction": "mds", "n": n, "r": r, "q": q})
+    return LinearCode(h, {"construction": "mds", "n": n, "r": r, "q": f.q})
 
 
-def _construction_one_params(n: int, b1: int, b2: int, q: int | None):
-    if b1 < 1 or b2 < 1 or b2 > b1:
-        raise BadParameters(f"need b1 >= b2 >= 1, got b1={b1}, b2={b2}")
-    if b1 % b2 != 0:
-        raise DivisibilityViolation(f"b2={b2} must divide b1={b1}")
-    if n < b1 + b2 + 1:
-        raise LengthTooSmall(f"need n >= b1+b2+1 = {b1 + b2 + 1}, got {n}")
-    ell = -(-n // b1)  # ceil(n / b1)
-    q_min = smallest_prime_power_at_least(ell)
+def _field_of_size(least: int, q: int | None, too_small: str):
+    """The smallest field of at least `least` elements, or the override GF(q);
+    a q that is no field, or smaller than least, raises BadFieldOverride."""
+    q_min = smallest_prime_power_at_least(least)
     if q is None:
-        q = q_min
-    else:
-        try:
-            field_make(q)
-        except Exception as exc:
-            raise BadFieldOverride(f"q={q} is not a usable field size") from exc
-        if q < ell:
-            raise BadFieldOverride(f"q={q} too small: need an element of order > {ell - 2}")
-    return ell, q
+        return field_make(q_min)
+    try:
+        f = field_make(q)
+    except Exception as exc:
+        raise BadFieldOverride(f"q={q} is not a usable field size") from exc
+    if q < least:
+        raise BadFieldOverride(too_small)
+    return f
 
 
 def construction_one(n: int, b1: int, b2: int, q: int | None = None) -> LinearCode:
@@ -215,8 +199,14 @@ def construction_one(n: int, b1: int, b2: int, q: int | None = None) -> LinearCo
     field's primitive element; the matrix is then truncated to n columns.
     Requires b2 | b1 and n >= b1 + b2 + 1.
     """
-    ell, q_use = _construction_one_params(n, b1, b2, q)
-    f = field_make(q_use)
+    if b1 < 1 or b2 < 1 or b2 > b1:
+        raise BadParameters(f"need b1 >= b2 >= 1, got b1={b1}, b2={b2}")
+    if b1 % b2 != 0:
+        raise DivisibilityViolation(f"b2={b2} must divide b1={b1}")
+    if n < b1 + b2 + 1:
+        raise LengthTooSmall(f"need n >= b1+b2+1 = {b1 + b2 + 1}, got {n}")
+    ell = -(-n // b1)  # ceil(n / b1)
+    f = _field_of_size(ell, q, f"q={q} too small: need an element of order > {ell - 2}")
     alpha = f.primitive_element()
     width = b1 * ell
     rows = [[0] * width for _ in range(b1 + b2)]
@@ -229,7 +219,7 @@ def construction_one(n: int, b1: int, b2: int, q: int | None = None) -> LinearCo
             for t in range(b1 // b2):
                 rows[b1 + i][j * b1 + i + t * b2] = coef
     h = Matrix(f, [r[:n] for r in rows])
-    prov = {"construction": "construction_one", "n": n, "b1": b1, "b2": b2, "q": q_use}
+    prov = {"construction": "construction_one", "n": n, "b1": b1, "b2": b2, "q": f.q}
     return LinearCode(h, prov)
 
 
@@ -342,11 +332,9 @@ def _min_weight_enum(code: LinearCode) -> int:
 
 
 def _min_dist_subsets(code: LinearCode) -> int:
-    h = code.h
-    f = code.field
-    cols = [h.col(j) for j in range(code.n)]
-    for s in range(1, h.nrows + 2):
-        for combo in itertools.combinations(range(code.n), s):
-            if not vectors_independent(f, [cols[j] for j in combo]):
-                return s
+    cols = list(zip(*code.h.data))
+    for s in range(1, code.h.nrows + 2):
+        family = itertools.combinations(range(code.n), s)
+        if _first_dependent(code.field, cols, family)[1] is not None:
+            return s
     raise AssertionError("unreachable: n-k+1 columns are always dependent")

@@ -19,9 +19,8 @@ from .algebra import _json_int
 from .channel import (
     ChannelParams,
     VerificationReport,
-    _admissible_masks,
+    _admissible_supports,
     _mask_admissible,
-    _pattern_from_mask,
     _verify_family,
     decode_erasures,
 )
@@ -319,8 +318,7 @@ def verify_streaming_code(code: LinearCode, params: StreamingParams) -> Verifica
     if code.n != w:
         raise DimensionMismatch(f"diagonal embedding needs n = w, got n={code.n}, w={w}")
     _systematic_generator(code)  # NotSystematic if the orientation is impossible
-    patterns = (_pattern_from_mask(w, m) for m in _admissible_masks(params.channel))
-    return _verify_family(code, patterns)
+    return _verify_family(code, _admissible_supports(params.channel))
 
 
 @dataclass(frozen=True)

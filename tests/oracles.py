@@ -5,7 +5,9 @@ GF(p^m) addition that the library used before it moved to one shared
 elimination routine and Zech-logarithm addition, and the eager pattern-family
 enumerators it used before one burst/union builder and a lazy window walk
 replaced them, and the exhaustive [P | I] search as it was when each chunk
-rebuilt its pattern family from a tag. They are deliberately left as they were: tests run both sides
+rebuilt its pattern family from a tag, and the minimum-distance subset search
+and per-pattern independence loop that one prefix-sharing walk replaced.
+They are deliberately left as they were: tests run both sides
 on the same inputs and require identical matrices, solutions, verdicts,
 pattern orders, exception types and messages.
 """
@@ -249,6 +251,28 @@ def mds_subblock_check(code, b: int, e: int) -> bool:
         vectors_independent(f, [cols[j] for j in combo])
         for combo in itertools.combinations(range(n_sub), e)
     )
+
+
+def min_dist_subsets(code) -> int:
+    h = code.h
+    f = code.field
+    cols = [h.col(j) for j in range(code.n)]
+    for s in range(1, h.nrows + 2):
+        for combo in itertools.combinations(range(code.n), s):
+            if not vectors_independent(f, [cols[j] for j in combo]):
+                return s
+    raise AssertionError("unreachable: n-k+1 columns are always dependent")
+
+
+def first_dependent(field, cols, supports):
+    """(supports checked, the first with dependent cols or None), one fresh
+    independence test per support."""
+    checked = 0
+    for sup in supports:
+        checked += 1
+        if not vectors_independent(field, [cols[j] for j in sup]):
+            return checked, sup
+    return checked, None
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,10 @@ def test_wraparound_verdicts():
     assert check_wraparound(code, 4, 1).verdict is True
     with pytest.raises(DivisibilityViolation):
         check_wraparound(construction_one(8, 3, 1), 3, 1)
+    # b1 < 1 is rejected before the n % b1 divisibility check
+    for b1 in (0, -3):
+        with pytest.raises(BadParameters):
+            check_wraparound(code, b1, 1)
 
 
 def test_wraparound_family_is_a_strict_superset():

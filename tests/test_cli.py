@@ -2,11 +2,13 @@
 formats, exit codes, and determinism. Each test drives main() directly."""
 
 import copy
+import itertools
 import json
 import random
 
 import pytest
 
+from erasurelab import cli
 from erasurelab.cli import main
 from erasurelab.codes import construction_one, cyclic_from_h, mds_code
 
@@ -110,6 +112,10 @@ def test_verify_wraparound_mode(capsys, tmp_path):
         capsys, ["verify", "--code", path, "--b1", "4", "--b2", "1", "--wraparound"]
     )
     assert rc == 0 and doc["result"]["verdict"] is True
+    rc, doc = _run_json(
+        capsys, ["verify", "--code", path, "--b1", "0", "--b2", "1", "--wraparound"]
+    )
+    assert rc == 2 and doc["error"]["type"] == "BadParameters"
 
 
 def test_verify_needs_exactly_one_mode(capsys, tmp_path):
@@ -403,3 +409,45 @@ def test_malformed_code_files_exit_2_with_a_typed_error(capsys, tmp_path):
         assert rc == 2, (label, doc)
         assert json.loads(captured.out)["error"]["type"], (label, doc)
         assert "Traceback" not in captured.out + captured.err, (label, doc)
+
+
+def _small_int_argvs(code_path):
+    """Every integer flag of construct, verify, analyze and search set to
+    each of -1, 0, 1 and 2, in every combination within one command."""
+    commands = [
+        (["construct", "--scheme", "c1"], ("--n", "--b1", "--b2", "--q")),
+        (["construct", "--scheme", "c1bin"], ("--n", "--b1", "--b2")),
+        (["construct", "--scheme", "mds"], ("--n", "--r", "--q")),
+        (["construct", "--scheme", "cyclic", "--h", "1,1"], ("--n", "--q")),
+        (["verify", "--code", code_path], ("--a", "--b", "--e", "--w", "--tau")),
+        (["verify", "--code", code_path], ("--b1", "--b2")),
+        (["verify", "--code", code_path, "--wraparound"], ("--b1", "--b2")),
+        (["analyze", "rate"], ("--a", "--b", "--e", "--w")),
+        (["analyze", "cyclic", "--h", "1,1"], ("--n", "--q")),
+        (["analyze", "sparsity"], ("--n", "--b")),
+        (["analyze", "fieldbound"], ("--n", "--b", "--e")),
+        (["search"], ("--n", "--q", "--b1", "--b2", "--workers")),
+        (["search"], ("--n", "--q", "--b", "--e", "--workers")),
+    ]
+    for base, flags in commands:
+        for values in itertools.product(("-1", "0", "1", "2"), repeat=len(flags)):
+            yield base + [x for pair in zip(flags, values) for x in pair]
+
+
+def test_small_integer_flags_never_escape_main(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("ERASURELAB_THREADS", raising=False)  # searches stay serial
+    # building the parser is most of a call's time; one parser serves all
+    parser = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    path = str(tmp_path / "c1841.json")
+    main(["construct", "--scheme", "c1", "--n", "8", "--b1", "4", "--b2", "1", "--out", path])
+    capsys.readouterr()
+    count = 0
+    for argv in _small_int_argvs(path):
+        rc = main(argv + ["--format", "json"])
+        out = capsys.readouterr().out
+        assert rc in (0, 1, 2), argv
+        if rc == 2:
+            assert json.loads(out)["error"]["type"], argv
+        count += 1
+    assert count == 3856

@@ -1,5 +1,6 @@
 """The shared elimination routine, Zech-logarithm addition, the pattern
-families and the exhaustive searches against the reference code in
+families, the prefix-sharing independence walk, the minimum-distance subset
+search and the exhaustive searches against the reference code in
 ``oracles``: same ranks, matrices, solutions, verdicts, witnesses,
 ``patterns_checked`` counts, pattern orders, first-found parity checks,
 exception types and messages on seeded random inputs."""
@@ -7,6 +8,7 @@ exception types and messages on seeded random inputs."""
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -17,6 +19,7 @@ from erasurelab.algebra import (
     Matrix,
     Poly,
     _digits,
+    _first_dependent,
     field_make,
     mat_rank,
     poly_divides,
@@ -43,7 +46,13 @@ from erasurelab.channel import (
     enumerate_b1b2_patterns,
     enumerate_burst_plus_random,
 )
-from erasurelab.codes import LinearCode, _nullspace_generator, cyclic_from_h, mds_code
+from erasurelab.codes import (
+    LinearCode,
+    _min_dist_subsets,
+    _nullspace_generator,
+    cyclic_from_h,
+    mds_code,
+)
 from erasurelab.errors import ErasureLabError
 from erasurelab.streaming import StreamingParams, verify_streaming_code
 
@@ -167,7 +176,7 @@ def test_two_burst_families_match_reference():
                     seconds = _bursts(n, range(1, b2 + 1), cyclic=True)
                     ref = {i | j for i in oracles._cyclic_intervals(n, b1)
                            for j in oracles._cyclic_intervals(n, b2)}
-                    assert [p.support for p in _unions(n, firsts, seconds)] == sorted(
+                    assert _unions(n, firsts, seconds) == sorted(
                         oracles._pattern_from_mask(n, m).support for m in ref
                     )
 
@@ -188,7 +197,7 @@ def test_burst_plus_random_families_match_reference():
 def test_burst_plus_one_family_adds_only_bare_bursts():
     for n in range(1, 13):
         for length in range(n + 1):
-            family = [p.support for p in _unions(n, _bursts(n, [length]), _bursts(n, [1]))]
+            family = _unions(n, _bursts(n, [length]), _bursts(n, [1]))
             ref = [p.support for p in oracles._burst_plus_one_patterns(n, length)]
             assert [s for s in family if len(s) == length + 1] == ref
             bare = [s for s in family if len(s) != length + 1]
@@ -336,3 +345,82 @@ def test_parallel_search_reads_the_first_chunk_first():
     code = _run_search(4, 2, 3, 2, lambda: [], {})
     assert [row[0] for row in code.h.data] == [0, 0]
     assert code.h.data == _run_search(4, 2, 3, 1, lambda: [], {}).h.data
+
+
+# ---------------------------------------------------------------------------
+# prefix-sharing independence walk
+# ---------------------------------------------------------------------------
+
+
+def _column_sets(rng, q):
+    """Sparse and dense random columns, and Vandermonde columns, any nrows
+    of which are independent, so that walks pass long stretches."""
+    f = field_make(q)
+    for _ in range(15):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 7)
+        yield nrows, list(zip(*_random_rows(rng, q, nrows, ncols)))
+        yield nrows, list(zip(*[[rng.randrange(q) for _ in range(ncols)]
+                                for _ in range(nrows)]))
+    for nrows in range(1, 5):
+        yield nrows, [tuple(f.pow(x, i) for i in range(nrows)) for x in range(min(q, 7))]
+
+
+def _families(rng, nrows, ncols):
+    """Every subset in lex order, by size and shuffled; a third of them (not
+    closed under subsets); those longer than nrows; the rest, both ways."""
+    by_size = [c for s in range(ncols + 1) for c in itertools.combinations(range(ncols), s)]
+    shuffled = by_size[:]
+    rng.shuffle(shuffled)
+    short = sorted(c for c in by_size if len(c) <= nrows)
+    return [
+        sorted(by_size),
+        by_size,
+        shuffled,
+        sorted(rng.sample(by_size, len(by_size) // 3)),
+        [c for c in by_size if len(c) > nrows],
+        short,
+        short[::-1],
+    ]
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_first_dependent_matches_per_support_loop(q):
+    rng = random.Random(4000 + q)
+    f = field_make(q)
+    for nrows, cols in _column_sets(rng, q):
+        for family in _families(rng, nrows, len(cols)):
+            # suffixes, as one-shot iterators: each walk starts from an
+            # empty basis at another support
+            for start in range(0, len(family), 4):
+                assert _first_dependent(f, cols, iter(family[start:])) == (
+                    oracles.first_dependent(f, cols, family[start:])
+                )
+    assert _first_dependent(f, [(1,)], []) == (0, None)
+
+
+def _codes_for_distance(rng, q):
+    f = field_make(q)
+    for n in range(2, 9):
+        for r in range(1, min(n, 5)):
+            rows = _systematic_rows(rng, q, n - r, r)
+            yield LinearCode(Matrix(f, rows))
+            for row in rows:
+                row[0] = 0  # a zero column: d = 1
+            yield LinearCode(Matrix(f, rows))
+            if n - r >= 2:
+                for row in rows:
+                    row[0] = row[1] = rng.randrange(1, q)  # repeated: d <= 2
+                yield LinearCode(Matrix(f, rows))
+            if n <= q:
+                yield mds_code(n, r, q)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_min_distance_subsets_match_reference(q):
+    rng = random.Random(5000 + q)
+    seen = set()
+    for code in _codes_for_distance(rng, q):
+        d = _min_dist_subsets(code)
+        assert d == oracles.min_dist_subsets(code)
+        seen.add(d)
+    assert {1, 2} <= seen

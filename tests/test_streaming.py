@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from erasurelab.channel import ChannelParams
+from erasurelab.channel import ChannelParams, ErasurePattern
 from erasurelab.codes import construction_one, generator_matrix, mds_code
 from erasurelab.errors import (
     BadParameters,
@@ -255,6 +255,22 @@ def test_verifier_at_the_rate_boundary():
     over = verify_streaming_code(mds_code(6, 3), params)  # [6,3]: one too wide
     assert over.verdict is False
     assert over.witness.support == (0, 1, 2, 3)
+
+
+def test_verifier_builds_a_pattern_only_for_its_witness(monkeypatch):
+    built = []
+    post_init = ErasurePattern.__post_init__
+
+    def counting(self):
+        built.append(self.support)
+        post_init(self)
+
+    monkeypatch.setattr(ErasurePattern, "__post_init__", counting)
+    params = StreamingParams(ChannelParams(2, 3, 1, 6), 5)
+    assert verify_streaming_code(mds_code(6, 4), params).verdict is True
+    assert built == []
+    over = verify_streaming_code(mds_code(6, 3), params)
+    assert built == [over.witness.support] == [(0, 1, 2, 3)]
 
 
 def test_verifier_guards():
