@@ -511,49 +511,6 @@ class Matrix:
         return m
 
 
-def _eliminate(field: Field, rows: list[list[int]], cols) -> list[tuple[int, int]]:
-    """Gauss-Jordan elimination of ``rows`` in place over ``cols``, in order.
-
-    Pivot rule: for each column in turn, the pivot is the first row with a
-    nonzero entry in that column, scanning down from the row after the last
-    pivot. That row is swapped up into place, scaled so the pivot is 1, and
-    the column is cleared in every other row. A column with no such row is
-    skipped, and the loop stops once every row holds a pivot.
-
-    Returns the (row, col) pivots in the order found; pivot i sits in row i.
-    Callers read their results off this rule, so every systematic form,
-    solution and null-space basis depends on it exactly.
-    """
-    mul, sub = field.mul, field.sub
-    nr = len(rows)
-    pivots: list[tuple[int, int]] = []
-    for c in cols:
-        top = len(pivots)
-        for piv in range(top, nr):
-            if rows[piv][c]:
-                break
-        else:
-            continue
-        rows[top], rows[piv] = rows[piv], rows[top]
-        inv = field.inv(rows[top][c])
-        if inv != 1:
-            rows[top] = [mul(inv, x) for x in rows[top]]
-        prow = rows[top]
-        for r in range(nr):
-            if r != top and rows[r][c]:
-                coef = rows[r][c]
-                rows[r] = [sub(x, mul(coef, px)) for x, px in zip(rows[r], prow)]
-        pivots.append((top, c))
-        if top + 1 == nr:
-            break
-    return pivots
-
-
-def mat_rank(m: Matrix) -> int:
-    """Rank by Gaussian elimination; pivot = first nonzero scanning down."""
-    return len(_eliminate(m.field, [list(r) for r in m.data], range(m.ncols)))
-
-
 def _reduce(field: Field, basis, vec) -> list[int]:
     """vec reduced against a pivot basis of (lead, row) pairs, each row 1 at
     its own lead and 0 at the leads before it. The result is 0 at every lead,
@@ -580,6 +537,24 @@ def _push(field: Field, basis: list, vec) -> bool:
             basis.append((lead, [field.mul(inv, y) for y in v]))
             return True
     return False
+
+
+def _rref(field: Field, rows) -> list[tuple[int, list[int]]]:
+    """The reduced row echelon form of rows as (lead, row) pairs sorted by
+    lead; zero rows drop out. Each basis row is reduced against the rows
+    pushed after it, which are already 0 at its lead."""
+    basis: list = []
+    for row in rows:
+        _push(field, basis, row)
+    return sorted(
+        (lead, _reduce(field, basis[i + 1 :], row)) for i, (lead, row) in enumerate(basis)
+    )
+
+
+def mat_rank(m: Matrix) -> int:
+    """Rank: the number of rows a pivot basis accepts, pushed in order."""
+    basis: list = []
+    return sum(_push(m.field, basis, row) for row in m.data)
 
 
 def vectors_independent(field: Field, vectors) -> bool:
@@ -634,13 +609,13 @@ def systematic_form(m: Matrix, side: str = "left") -> Matrix:
     nr, nc = m.nrows, m.ncols
     if nr > nc:
         raise DimensionMismatch("more rows than columns")
-    block = range(nr) if side == "left" else range(nc - nr, nc)
-    rows = [list(r) for r in m.data]
-    pivot_cols = [c for _, c in _eliminate(f, rows, block)]
-    if len(pivot_cols) < nr:
-        pc = next(c for c in block if c not in pivot_cols)
-        raise SingularBlock(f"designated block is singular at column {pc}")
-    return Matrix(f, rows)
+    s = 0 if side == "left" else nc - nr  # rotate the block to the front
+    rref = _rref(f, [r[s:] + r[:s] for r in m.data])
+    leads = [lead for lead, _ in rref]
+    if leads != list(range(nr)):
+        pc = next(i for i in range(nr) if i not in leads)
+        raise SingularBlock(f"designated block is singular at column {s + pc}")
+    return Matrix(f, [r[nc - s :] + r[: nc - s] for _, r in rref])
 
 
 def solve_for_columns(h: Matrix, cols, syndrome) -> list[int]:
@@ -658,10 +633,10 @@ def solve_for_columns(h: Matrix, cols, syndrome) -> list[int]:
         raise DimensionMismatch("syndrome length must equal the row count")
     f = h.field
     k = len(cols)
-    aug = [[h.data[r][c] for c in cols] + [f.check(syndrome[r])] for r in range(h.nrows)]
-    if len(_eliminate(f, aug, range(k))) < k:
+    aug = [[row[c] for c in cols] + [f.check(v)] for row, v in zip(h.data, syndrome)]
+    rref = _rref(f, aug)
+    if [lead for lead, _ in rref[:k]] != list(range(k)):
         raise DependentColumns("selected columns are linearly dependent")
-    for r in range(k, h.nrows):
-        if aug[r][k]:
-            raise InconsistentSyndrome("known symbols contradict the code")
-    return [aug[i][k] for i in range(k)]
+    if len(rref) > k:
+        raise InconsistentSyndrome("known symbols contradict the code")
+    return [row[k] for _, row in rref]

@@ -34,11 +34,11 @@ from .algebra import (
 from .channel import (
     ChannelParams,
     ErasurePattern,
+    _burst_plus_random,
     _bursts,
+    _two_bursts,
     _unions,
     _verify_family,
-    enumerate_b1b2_patterns,
-    enumerate_burst_plus_random,
 )
 from .codes import CyclicCode, LinearCode, min_distance
 from .errors import (
@@ -315,8 +315,8 @@ def resolve_workers(requested: int | None = None) -> int:
     return max(1, min(requested, cap))
 
 
-def _prep_groups(n: int, r: int, patterns):
-    """Bucket patterns by their largest information-column index.
+def _prep_groups(n: int, r: int, supports):
+    """Bucket pattern supports by their largest information-column index.
 
     Returns None when some pattern is unsatisfiable by any [P | I] matrix
     (more erased columns than rows survive the identity part), which decides
@@ -325,8 +325,7 @@ def _prep_groups(n: int, r: int, patterns):
     """
     k = n - r
     groups: list[list[tuple]] = [[] for _ in range(k)]
-    for pat in patterns:
-        sup = pat.support
+    for sup in supports:
         if len(sup) > r:
             return None
         p_cols = tuple(j for j in sup if j < k)
@@ -401,8 +400,13 @@ def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
     k = n - r
     if k < 1:
         raise BadParameters(f"need n > {r} so that k >= 1, got n={n}")
-    if q ** (r * k) > _SEARCH_CAP:
-        raise TooLarge(f"q^(r*k) = {q ** (r * k)} candidates exceed the search cap")
+    rk, top = r * k, _SEARCH_CAP.bit_length()
+    # from 2^top on only |q| >= 2 and the sign matter, so the exponent is cut
+    # to top or top + 1, whichever has the parity of r*k
+    if q ** min(rk, top + (rk - top) % 2) > _SEARCH_CAP:
+        # 4300 digits is the longest int that str() prints by default
+        count = q ** rk if rk * math.log10(abs(q)) < 4300 else f"{q}^{rk}"
+        raise TooLarge(f"q^(r*k) = {count} candidates exceed the search cap")
     field = field_make(q)  # validates q, including NotPrimePower
     groups = _prep_groups(n, r, family())
     if groups is None:
@@ -434,7 +438,7 @@ def exhaustive_code_search(
     order, that recovers every two-burst pattern; None when none exists."""
     if b1 < 1 or b2 < 1:
         raise BadParameters(f"need b1, b2 >= 1, got b1={b1}, b2={b2}")
-    family = functools.partial(enumerate_b1b2_patterns, n, b1, b2)
+    family = functools.partial(_two_bursts, n, b1, b2)
     fields = {"family": "two-burst", "n": n, "b1": b1, "b2": b2}
     return _run_search(n, b1 + b2, q, workers, family, fields)
 
@@ -447,6 +451,6 @@ def exhaustive_burst_random_search(
     exists."""
     if b < 1 or e < 0:
         raise BadParameters(f"need b >= 1 and e >= 0, got b={b}, e={e}")
-    family = functools.partial(enumerate_burst_plus_random, n, b, e)
+    family = functools.partial(_burst_plus_random, n, b, e)
     fields = {"family": "burst-random", "n": n, "b": b, "e": e}
     return _run_search(n, b + e, q, workers, family, fields)

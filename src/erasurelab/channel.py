@@ -197,9 +197,7 @@ def enumerate_b1b2_patterns(n: int, b1: int, b2: int) -> list[ErasurePattern]:
     return [ErasurePattern(n, s) for s in _two_bursts(n, b1, b2)]
 
 
-def enumerate_burst_plus_random(n: int, b: int, e: int) -> list[ErasurePattern]:
-    """All unions of one burst of length in [1, b] with up to e arbitrary
-    extra indices. Deduplicated, lexicographic order."""
+def _burst_plus_random(n: int, b: int, e: int) -> list[tuple[int, ...]]:
     if n < 1 or b < 1 or b > n or e < 0:
         raise BadParameters(f"bad parameters n={n}, b={b}, e={e}")
     if n > _ENUM_N_CAP:
@@ -215,7 +213,13 @@ def enumerate_burst_plus_random(n: int, b: int, e: int) -> list[ErasurePattern]:
         for j in range(min(e, n) + 1)
         for extra in itertools.combinations(range(n), j)
     ]
-    return [ErasurePattern(n, s) for s in _unions(n, bursts, extras)]
+    return _unions(n, bursts, extras)
+
+
+def enumerate_burst_plus_random(n: int, b: int, e: int) -> list[ErasurePattern]:
+    """All unions of one burst of length in [1, b] with up to e arbitrary
+    extra indices. Deduplicated, lexicographic order."""
+    return [ErasurePattern(n, s) for s in _burst_plus_random(n, b, e)]
 
 
 # ---------------------------------------------------------------------------

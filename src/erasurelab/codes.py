@@ -14,9 +14,9 @@ import itertools
 from .algebra import (
     Matrix,
     Poly,
-    _eliminate,
     _first_dependent,
     _json_int,
+    _rref,
     field_make,
     mat_rank,
     poly_divides,
@@ -140,19 +140,17 @@ def _systematic_generator(code: LinearCode) -> Matrix:
 
 def _nullspace_generator(code: LinearCode) -> Matrix:
     f = code.field
-    h = code.h
-    rows = [list(r) for r in h.data]
-    nc = h.ncols
-    pivots = _eliminate(f, rows, range(nc))
-    pivot_cols = {c for _, c in pivots}
+    nc = code.h.ncols
+    pivots = _rref(f, code.h.data)
+    leads = {lead for lead, _ in pivots}
     basis = []
     for free in range(nc):
-        if free in pivot_cols:
+        if free in leads:
             continue
         vec = [0] * nc
         vec[free] = 1
-        for pr, pc in pivots:
-            vec[pc] = f.neg(rows[pr][free])
+        for lead, row in pivots:
+            vec[lead] = f.neg(row[free])
         basis.append(vec)
     return Matrix(f, basis)
 

@@ -412,13 +412,13 @@ def test_parallel_search_matches_serial():
 
 def test_search_family_is_enumerated_once_in_the_caller(monkeypatch):
     calls = []
-    enumerate_family = analysis.enumerate_b1b2_patterns
+    enumerate_family = analysis._two_bursts
 
     def counting(*args):
         calls.append(args)
         return enumerate_family(*args)
 
-    monkeypatch.setattr(analysis, "enumerate_b1b2_patterns", counting)
+    monkeypatch.setattr(analysis, "_two_bursts", counting)
     found = exhaustive_code_search(5, 2, 1, 3, workers=2)
     assert calls == [(5, 2, 1)]  # workers scan the groups prepared here
     assert found.h.data == exhaustive_code_search(5, 2, 1, 3).h.data
@@ -433,5 +433,7 @@ def test_search_guards():
         exhaustive_burst_random_search(5, 0, 1, 2)
     with pytest.raises(TooLarge):
         exhaustive_code_search(8, 2, 1, 4)  # 4^(3*5) candidates
+    with pytest.raises(TooLarge, match=r"= 3\^39996 candidates"):
+        exhaustive_code_search(20000, 1, 1, 3)  # too many digits to print
     with pytest.raises(NotPrimePower):
         exhaustive_code_search(5, 2, 1, 6)

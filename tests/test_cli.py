@@ -8,7 +8,6 @@ import random
 
 import pytest
 
-from erasurelab import cli
 from erasurelab.cli import main
 from erasurelab.codes import construction_one, cyclic_from_h, mds_code
 
@@ -224,6 +223,14 @@ def test_search_needs_exactly_one_family(capsys):
     assert rc == 2 and doc["error"]["type"] == "BadParameters"
 
 
+@pytest.mark.parametrize("n", ["20000", "10000000"])
+def test_search_far_over_the_cap_exits_2(capsys, n):
+    """The candidate count here has too many digits to print as an int."""
+    rc, doc = _run_json(capsys, ["search", "--n", n, "--b1", "1", "--b2", "1", "--q", "3"])
+    assert rc == 2 and doc["error"]["type"] == "TooLarge"
+    assert doc["error"]["message"].startswith("q^(r*k) = 3^")
+
+
 def _write_mds72(capsys, tmp_path):
     path = str(tmp_path / "mds72.json")
     main(["construct", "--scheme", "mds", "--n", "7", "--r", "5", "--out", path])
@@ -436,9 +443,6 @@ def _small_int_argvs(code_path):
 
 def test_small_integer_flags_never_escape_main(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("ERASURELAB_THREADS", raising=False)  # searches stay serial
-    # building the parser is most of a call's time; one parser serves all
-    parser = cli._build_parser()
-    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
     path = str(tmp_path / "c1841.json")
     main(["construct", "--scheme", "c1", "--n", "8", "--b1", "4", "--b2", "1", "--out", path])
     capsys.readouterr()

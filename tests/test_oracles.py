@@ -84,13 +84,27 @@ def test_field_addition_matches_digit_loops(q):
             assert f.sub(a, b) == ref.sub(a, b)
 
 
+def _elimination_inputs(rng, q):
+    """150 shapes up to 4 x 7, then 100 up to 6 x 10 (nr > nc included); about
+    half of the latter with two or more rows get a zero or a repeated row."""
+    for _ in range(150):
+        yield _random_rows(rng, q, rng.randint(1, 4), rng.randint(1, 7))
+    for _ in range(100):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 10)
+        rows = _random_rows(rng, q, nr, nc)
+        if nr >= 2 and rng.random() < 0.5:
+            i, j = rng.sample(range(nr), 2)
+            rows[i] = [0] * nc if rng.random() < 0.5 else list(rows[j])
+        yield rows
+
+
 @pytest.mark.parametrize("q", FIELDS)
 def test_elimination_matches_reference_loops(q):
     rng = random.Random(1000 + q)
     f = field_make(q)
-    for _ in range(150):
-        nr, nc = rng.randint(1, 4), rng.randint(1, 7)
-        h = Matrix(f, _random_rows(rng, q, nr, nc))
+    for rows in _elimination_inputs(rng, q):
+        h = Matrix(f, rows)
+        nr, nc = h.nrows, h.ncols
 
         assert mat_rank(h) == oracles.mat_rank(h)
         for side in ("left", "right"):

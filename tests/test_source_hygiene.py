@@ -2,7 +2,8 @@
 uses, every module-level private function is referenced somewhere in the
 package and reads every parameter it takes, and no function rebinds module
 state through ``global``. ``__init__.py`` is exempt from the import check
-because its imports are the public re-exports."""
+because its imports are the public re-exports. Every function the benchmark
+tracer wraps by name exists in the package."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import erasurelab
 
 SRC = Path(erasurelab.__file__).parent
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def _modules():
@@ -89,3 +91,23 @@ def test_no_global_statements():
         if isinstance(node, ast.Global)
     ]
     assert found == []
+
+
+def test_traced_functions_exist():
+    """perfbench/tracing.py names its spans as (module, function) strings;
+    it is read here, not imported, and each name must be a module-level
+    function of that package module."""
+    spans = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(TRACING.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SPANS"]
+    )
+    defined = {
+        (name.removesuffix(".py"), node.name)
+        for name, tree in _modules().items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    missing = [f"{mod}.{fn}" for mod, fn, _ in spans if (mod, fn) not in defined]
+    assert spans and missing == []
