@@ -465,18 +465,8 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.ncols} cols vs {other.nrows} rows")
         f = self.field
-        cols = other.ncols
-        out = []
-        for r in self.data:
-            row = []
-            for j in range(cols):
-                acc = 0
-                for x, orow in zip(r, other.data):
-                    if x:
-                        acc = f.add(acc, f.mul(x, orow[j]))
-                row.append(acc)
-            out.append(row)
-        return Matrix(f, out)
+        cols = list(zip(*other.data))
+        return Matrix(f, [[_dot(f, r, c) for c in cols] for r in self.data])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -509,6 +499,16 @@ class Matrix:
         if (m.nrows, m.ncols) != (rows, cols):
             raise DimensionMismatch("declared shape does not match data")
         return m
+
+
+def _dot(field: Field, u, v) -> int:
+    """The dot product of two equal-length vectors."""
+    add, mul = field.add, field.mul
+    acc = 0
+    for x, y in zip(u, v):
+        if x and y:
+            acc = add(acc, mul(x, y))
+    return acc
 
 
 def _reduce(field: Field, basis, vec) -> list[int]:
@@ -549,6 +549,16 @@ def _rref(field: Field, rows) -> list[tuple[int, list[int]]]:
     return sorted(
         (lead, _reduce(field, basis[i + 1 :], row)) for i, (lead, row) in enumerate(basis)
     )
+
+
+def _recovery(field: Field, rows, k: int):
+    """(M, C) from the RREF [I M; 0 C] of rows whose first k columns are
+    wanted: rows·v = 0 iff v[:k] = -M·v[k:] and C·v[k:] = 0. Raises
+    DependentColumns when those k columns are dependent."""
+    rref = _rref(field, rows)
+    if [lead for lead, _ in rref[:k]] != list(range(k)):
+        raise DependentColumns("selected columns are linearly dependent")
+    return [row[k:] for _, row in rref[:k]], [row[k:] for _, row in rref[k:]]
 
 
 def mat_rank(m: Matrix) -> int:
@@ -632,11 +642,9 @@ def solve_for_columns(h: Matrix, cols, syndrome) -> list[int]:
     if len(syndrome) != h.nrows:
         raise DimensionMismatch("syndrome length must equal the row count")
     f = h.field
-    k = len(cols)
     aug = [[row[c] for c in cols] + [f.check(v)] for row, v in zip(h.data, syndrome)]
-    rref = _rref(f, aug)
-    if [lead for lead, _ in rref[:k]] != list(range(k)):
-        raise DependentColumns("selected columns are linearly dependent")
-    if len(rref) > k:
+    # [H_E | s]·(x, -1) = 0: x = M's one column, and any row of C is [c != 0]
+    m, c = _recovery(f, aug, len(cols))
+    if c:
         raise InconsistentSyndrome("known symbols contradict the code")
-    return [row[k] for _, row in rref]
+    return [row[0] for row in m]

@@ -400,12 +400,13 @@ def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
     k = n - r
     if k < 1:
         raise BadParameters(f"need n > {r} so that k >= 1, got n={n}")
-    rk, top = r * k, _SEARCH_CAP.bit_length()
-    # from 2^top on only |q| >= 2 and the sign matter, so the exponent is cut
-    # to top or top + 1, whichever has the parity of r*k
-    if q ** min(rk, top + (rk - top) % 2) > _SEARCH_CAP:
+    if q < 2:
+        field_make(q)  # NotPrimePower, before q's power is read as a count
+    rk = r * k
+    # q >= 2, so q^(r*k) is over the cap once r*k reaches the cap's bit length
+    if q ** min(rk, _SEARCH_CAP.bit_length()) > _SEARCH_CAP:
         # 4300 digits is the longest int that str() prints by default
-        count = q ** rk if rk * math.log10(abs(q)) < 4300 else f"{q}^{rk}"
+        count = q ** rk if rk * math.log10(q) < 4300 else f"{q}^{rk}"
         raise TooLarge(f"q^(r*k) = {count} candidates exceed the search cap")
     field = field_make(q)  # validates q, including NotPrimePower
     groups = _prep_groups(n, r, family())

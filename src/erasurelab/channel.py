@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import _first_dependent, _json_int, columns_independent, solve_for_columns
+from .algebra import _dot, _first_dependent, _json_int, _recovery, columns_independent
 from .codes import LinearCode
 from .errors import (
     BadParameters,
@@ -235,39 +235,44 @@ def can_recover(code: LinearCode, pattern: ErasurePattern) -> bool:
     return columns_independent(code.h, pattern.support)
 
 
+def _decoder(code: LinearCode):
+    """decode_erasures for one code, reducing H once per erased set met."""
+    f, h = code.field, code.h.data
+    maps: dict = {}
+
+    def decode(received) -> list[int]:
+        received = list(received)
+        if len(received) != code.n:
+            raise LengthMismatch(f"received word has length {len(received)}, n={code.n}")
+        erased = tuple(i for i, v in enumerate(received) if v is None)
+        y = [f.check(v) for v in received if v is not None]
+        if erased not in maps:
+            order = erased + tuple(i for i in range(code.n) if i not in erased)
+            rows = [[row[i] for i in order] for row in h]
+            try:
+                maps[erased] = _recovery(f, rows, len(erased))
+            except DependentColumns:
+                maps[erased] = None
+        if maps[erased] is None:
+            raise Unrecoverable(f"erasures at {list(erased)} are not recoverable")
+        m, c = maps[erased]
+        if any(_dot(f, row, y) for row in c):
+            raise InconsistentSyndrome("known symbols contradict the code" if erased
+                                       else "received word is not a codeword")
+        for i, row in zip(erased, m):
+            received[i] = f.neg(_dot(f, row, y))
+        return received
+
+    return decode
+
+
 def decode_erasures(code: LinearCode, received) -> list[int]:
     """Fill in the erased (None) positions of a received word.
 
     Raises Unrecoverable when the erased columns are dependent and
     InconsistentSyndrome when the known symbols already contradict the code.
     """
-    received = list(received)
-    if len(received) != code.n:
-        raise LengthMismatch(f"received word has length {len(received)}, n={code.n}")
-    f = code.field
-    erased = [i for i, v in enumerate(received) if v is None]
-    known = [(i, f.check(v)) for i, v in enumerate(received) if v is not None]
-    h = code.h
-    syndrome = [0] * h.nrows
-    for i, v in known:
-        if v:
-            for r in range(h.nrows):
-                hv = h.data[r][i]
-                if hv:
-                    syndrome[r] = f.add(syndrome[r], f.mul(hv, v))
-    if not erased:
-        if any(syndrome):
-            raise InconsistentSyndrome("received word is not a codeword")
-        return received
-    rhs = [f.neg(s) for s in syndrome]
-    try:
-        values = solve_for_columns(h, erased, rhs)
-    except DependentColumns as exc:
-        raise Unrecoverable(f"erasures at {erased} are not recoverable") from exc
-    out = list(received)
-    for i, v in zip(erased, values):
-        out[i] = v
-    return out
+    return _decoder(code)(received)
 
 
 def _verify_family(code: LinearCode, supports) -> VerificationReport:

@@ -16,23 +16,23 @@ from .algebra import (
     Poly,
     _first_dependent,
     _json_int,
+    _recovery,
     _rref,
     field_make,
     mat_rank,
     poly_divides,
     smallest_prime_power_at_least,
-    systematic_form,
     x_pow_n_minus_1,
 )
 from .errors import (
     BadFieldOverride,
     BadParameters,
     BadReciprocal,
+    DependentColumns,
     DivisibilityViolation,
     LengthTooSmall,
     NotCyclic,
     NotSystematic,
-    SingularBlock,
     StructureViolation,
     TooLarge,
 )
@@ -123,34 +123,29 @@ def generator_matrix(code: LinearCode) -> Matrix:
 
 
 def _systematic_generator(code: LinearCode) -> Matrix:
-    f = code.field
-    k = code.k
     try:
-        hs = systematic_form(code.h, side="right")
-    except SingularBlock as exc:
+        return _generator(code, list(range(code.k, code.n)))
+    except DependentColumns as exc:
         raise NotSystematic("last n-k columns of H are singular") from exc
-    # H row-reduces to [P' | I]; message m extends to the codeword (m, -P'm).
-    rows = []
-    for i in range(k):
-        row = [1 if j == i else 0 for j in range(k)]
-        row += [f.neg(hs.data[r][i]) for r in range(code.n - k)]
-        rows.append(row)
-    return Matrix(f, rows)
 
 
 def _nullspace_generator(code: LinearCode) -> Matrix:
+    return _generator(code, [lead for lead, _ in _rref(code.field, code.h.data)])
+
+
+def _generator(code: LinearCode, parity: list[int]) -> Matrix:
+    """The null-space basis of H that is the identity off the parity columns:
+    a message u there takes -M·u on them, M from _recovery with the parity
+    columns first. DependentColumns when those columns are dependent."""
     f = code.field
-    nc = code.h.ncols
-    pivots = _rref(f, code.h.data)
-    leads = {lead for lead, _ in pivots}
+    free = [j for j in range(code.n) if j not in parity]
+    m, _ = _recovery(f, [[row[j] for j in parity + free] for row in code.h.data], len(parity))
     basis = []
-    for free in range(nc):
-        if free in leads:
-            continue
-        vec = [0] * nc
-        vec[free] = 1
-        for lead, row in pivots:
-            vec[lead] = f.neg(row[free])
+    for i, j in enumerate(free):
+        vec = [0] * code.n
+        vec[j] = 1
+        for p, row in zip(parity, m):
+            vec[p] = f.neg(row[i])
         basis.append(vec)
     return Matrix(f, basis)
 

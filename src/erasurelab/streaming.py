@@ -20,9 +20,9 @@ from .channel import (
     ChannelParams,
     VerificationReport,
     _admissible_supports,
+    _decoder,
     _mask_admissible,
     _verify_family,
-    decode_erasures,
 )
 from .codes import LinearCode, _systematic_generator
 from .errors import (
@@ -152,16 +152,12 @@ def de_encode(code: LinearCode, messages) -> PacketStream:
 
 def _diagonal_word(stream: PacketStream, d: int):
     """Received view (None = erased) of the diagonal started at time d."""
-    word = []
-    for j in range(stream.n):
-        s = d + j
-        if s < 0:
-            word.append(0)  # pre-stream symbols come from all-zero messages
-        elif s in stream.erased:
-            word.append(None)
-        else:
-            word.append(stream.packets[s][j])
-    return word
+    return [
+        0 if d + j < 0  # pre-stream symbols come from all-zero messages
+        else None if d + j in stream.erased
+        else stream.packets[d + j][j]
+        for j in range(stream.n)
+    ]
 
 
 def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -> DecodeTrace:
@@ -176,18 +172,16 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
         raise DimensionMismatch("stream was not produced by this code")
     n, k = stream.n, stream.k
     t_count = stream.message_count
-    diag_cache: dict[int, tuple | None] = {}
+    decode = _decoder(code)
+    diag_cache: dict[int, list | None] = {}
 
     def decode_diag(d: int):
+        # every diagonal asked for crosses an erased message slot
         if d not in diag_cache:
-            word = _diagonal_word(stream, d)
-            if None not in word:
-                diag_cache[d] = tuple(word)
-            else:
-                try:
-                    diag_cache[d] = tuple(decode_erasures(code, word))
-                except Unrecoverable:
-                    diag_cache[d] = None
+            try:
+                diag_cache[d] = decode(_diagonal_word(stream, d))
+            except Unrecoverable:
+                diag_cache[d] = None
         return diag_cache[d]
 
     times = []
@@ -198,19 +192,14 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
             messages.append(tuple(stream.packets[t][:k]))
             continue
         parts = []
-        ok = True
         for j in range(k):
             cw = decode_diag(t - j)
             if cw is None:
-                ok = False
                 break
             parts.append(cw[j])
-        if ok:
-            times.append(t + n - 1)
-            messages.append(tuple(parts))
-        else:
-            times.append(None)
-            messages.append(None)
+        done = len(parts) == k
+        times.append(t + n - 1 if done else None)
+        messages.append(tuple(parts) if done else None)
     deadlines = tuple(t + params.tau for t in range(t_count))
     misses = tuple(
         tm is not None and tm > dl for tm, dl in zip(times, deadlines)
@@ -254,7 +243,7 @@ def periodic_pattern(params: ChannelParams, periods: int) -> tuple[int, ...]:
     Admissible only when e >= b - 1 (windows straddling two periods see two
     bursts); other parameters raise ParameterViolation.
     """
-    if periods < 1:
+    if _json_int(periods, "periods") < 1:
         raise BadParameters(f"need periods >= 1, got {periods}")
     if params.e < params.b - 1:
         raise ParameterViolation(
@@ -285,9 +274,9 @@ def ge_source(
     for p in (good_to_bad, bad_to_good, loss_good, loss_bad):
         if not 0.0 <= p <= 1.0:
             raise BadProbability(f"probability {p} outside [0, 1]")
-    if length < 0:
+    if _json_int(length, "length") < 0:
         raise BadParameters(f"need length >= 0, got {length}")
-    rng = random.Random(seed)
+    rng = random.Random(_json_int(seed, "seed"))
     lost = []
     bad = False
     for t in range(length):
@@ -356,7 +345,7 @@ def simulate(code: LinearCode, params: StreamingParams, source, seed: int) -> di
         slots = source.periods * ch.w
         loss = periodic_pattern(ch, source.periods)
     elif isinstance(source, GilbertElliottSource):
-        slots = source.slots
+        slots = _json_int(source.slots, "slots")
         loss = ge_source(
             source.good_to_bad,
             source.bad_to_good,
@@ -370,7 +359,7 @@ def simulate(code: LinearCode, params: StreamingParams, source, seed: int) -> di
     t_count = slots - (n - 1)
     if t_count < 1:
         raise BadParameters(f"{slots} slots leave no room for messages (n={n})")
-    rng = random.Random(seed ^ _MESSAGE_SEED_SALT)
+    rng = random.Random(_json_int(seed, "seed") ^ _MESSAGE_SEED_SALT)
     msgs = [[rng.randrange(code.field.q) for _ in range(k)] for _ in range(t_count)]
     stream = de_encode(code, msgs).with_erasures(loss)
     trace = de_decode(stream, code, params)

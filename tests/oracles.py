@@ -6,7 +6,9 @@ elimination routine and Zech-logarithm addition, and the eager pattern-family
 enumerators it used before one burst/union builder and a lazy window walk
 replaced them, and the exhaustive [P | I] search as it was when each chunk
 rebuilt its pattern family from a tag, and the minimum-distance subset search
-and per-pattern independence loop that one prefix-sharing walk replaced.
+and per-pattern independence loop that one prefix-sharing walk replaced, and
+the syndrome-then-solve erasure decoder and right-systematic-form generator
+that one erased-coordinate map replaced.
 They are deliberately left as they were: tests run both sides
 on the same inputs and require identical matrices, solutions, verdicts,
 pattern orders, exception types and messages.
@@ -31,9 +33,11 @@ from erasurelab.errors import (
     DivisibilityViolation,
     InconsistentSyndrome,
     LengthMismatch,
+    NotSystematic,
     SingularBlock,
     StructureViolation,
     TooLarge,
+    Unrecoverable,
 )
 
 _SUBSET_CAP = 1 << 20
@@ -210,6 +214,53 @@ def nullspace_generator(code) -> Matrix:
             vec[pc] = f.neg(rows[pr][free])
         basis.append(vec)
     return Matrix(code.field, basis)
+
+
+def decode_erasures(code, received) -> list[int]:
+    """Syndrome of the known symbols, then one solve for the erased ones."""
+    received = list(received)
+    if len(received) != code.n:
+        raise LengthMismatch(f"received word has length {len(received)}, n={code.n}")
+    f = code.field
+    erased = [i for i, v in enumerate(received) if v is None]
+    known = [(i, f.check(v)) for i, v in enumerate(received) if v is not None]
+    h = code.h
+    syndrome = [0] * h.nrows
+    for i, v in known:
+        if v:
+            for r in range(h.nrows):
+                hv = h.data[r][i]
+                if hv:
+                    syndrome[r] = f.add(syndrome[r], f.mul(hv, v))
+    if not erased:
+        if any(syndrome):
+            raise InconsistentSyndrome("received word is not a codeword")
+        return received
+    rhs = [f.neg(s) for s in syndrome]
+    try:
+        values = solve_for_columns(h, erased, rhs)
+    except DependentColumns as exc:
+        raise Unrecoverable(f"erasures at {erased} are not recoverable") from exc
+    out = list(received)
+    for i, v in zip(erased, values):
+        out[i] = v
+    return out
+
+
+def systematic_generator(code) -> Matrix:
+    """[I_k | -P'^T] from the right systematic form [P' | I] of H."""
+    f = code.field
+    k = code.k
+    try:
+        hs = systematic_form(code.h, side="right")
+    except SingularBlock as exc:
+        raise NotSystematic("last n-k columns of H are singular") from exc
+    rows = []
+    for i in range(k):
+        row = [1 if j == i else 0 for j in range(k)]
+        row += [f.neg(hs.data[r][i]) for r in range(code.n - k)]
+        rows.append(row)
+    return Matrix(f, rows)
 
 
 def _n_choose(n: int, k: int) -> int:

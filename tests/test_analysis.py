@@ -437,3 +437,5 @@ def test_search_guards():
         exhaustive_code_search(20000, 1, 1, 3)  # too many digits to print
     with pytest.raises(NotPrimePower):
         exhaustive_code_search(5, 2, 1, 6)
+    with pytest.raises(NotPrimePower, match="field size must be >= 2, got -2"):
+        exhaustive_code_search(30, 1, 1, -2)  # not read as a count over the cap

@@ -231,6 +231,12 @@ def test_search_far_over_the_cap_exits_2(capsys, n):
     assert doc["error"]["message"].startswith("q^(r*k) = 3^")
 
 
+def test_search_negative_field_size_exits_2(capsys):
+    """A negative q is no field; its power is not a candidate count."""
+    rc, doc = _run_json(capsys, ["search", "--n", "30", "--b1", "1", "--b2", "1", "--q", "-2"])
+    assert rc == 2 and doc["error"]["type"] == "NotPrimePower"
+
+
 def _write_mds72(capsys, tmp_path):
     path = str(tmp_path / "mds72.json")
     main(["construct", "--scheme", "mds", "--n", "7", "--r", "5", "--out", path])

@@ -1,9 +1,10 @@
 """The shared elimination routine, Zech-logarithm addition, the pattern
 families, the prefix-sharing independence walk, the minimum-distance subset
-search and the exhaustive searches against the reference code in
-``oracles``: same ranks, matrices, solutions, verdicts, witnesses,
-``patterns_checked`` counts, pattern orders, first-found parity checks,
-exception types and messages on seeded random inputs."""
+search, the exhaustive searches, erasure decoding and the systematic
+generator against the reference code in ``oracles``: same ranks, matrices,
+solutions, decoded words, verdicts, witnesses, ``patterns_checked`` counts,
+pattern orders, first-found parity checks, exception types and messages on
+seeded random inputs."""
 
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ from erasurelab.channel import (
     _bursts,
     _unions,
     check_wraparound,
+    decode_erasures,
     enumerate_admissible_windows,
     enumerate_b1b2_patterns,
     enumerate_burst_plus_random,
@@ -50,11 +52,19 @@ from erasurelab.codes import (
     LinearCode,
     _min_dist_subsets,
     _nullspace_generator,
+    _systematic_generator,
     cyclic_from_h,
     mds_code,
 )
-from erasurelab.errors import ErasureLabError
-from erasurelab.streaming import StreamingParams, verify_streaming_code
+from erasurelab.errors import ErasureLabError, InconsistentSyndrome
+from erasurelab.streaming import (
+    PacketStream,
+    StreamingParams,
+    _diagonal_word,
+    de_decode,
+    de_encode,
+    verify_streaming_code,
+)
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9, 25, 27)
 
@@ -134,6 +144,94 @@ def test_elimination_matches_reference_loops(q):
             assert _outcome(mds_subblock_check, code, b, nr - b) == _outcome(
                 oracles.mds_subblock_check, code, b, nr - b
             )
+
+
+# ---------------------------------------------------------------------------
+# erased-coordinate map: erasure decoding and the systematic generator
+# ---------------------------------------------------------------------------
+
+
+def _erasure_codes(rng, q):
+    """Sparse random H (often non-systematic, with dependent column sets),
+    the same H with a repeated or zero row (rank-deficient, so no LinearCode
+    accepts it), and MDS codes, whose erased sets are dependent only past
+    n - k."""
+    f = field_make(q)
+    for _ in range(40):
+        nc = rng.randint(2, 8)
+        nr = rng.randint(1, nc - 1)
+        rows = _random_rows(rng, q, nr, nc)
+        if nr >= 2 and rng.random() < 0.3:
+            i, j = rng.sample(range(nr), 2)
+            rows[i] = [0] * nc if rng.random() < 0.5 else list(rows[j])
+        yield SimpleNamespace(field=f, h=Matrix(f, rows), n=nc, k=nc - nr)
+    for n in range(3, min(q, 8) + 1):
+        yield mds_code(n, rng.randint(1, n - 1), q)
+
+
+def _received_words(rng, code):
+    """Codewords, some with one symbol changed, with no erasure, with every
+    symbol erased and with a random erased set."""
+    q, n = code.field.q, code.n
+    basis = oracles.nullspace_generator(code).data
+    for _ in range(12):
+        word = [0] * n
+        for row in basis:
+            c = rng.randrange(q)
+            word = [code.field.add(x, code.field.mul(c, y)) for x, y in zip(word, row)]
+        if rng.random() < 0.3:
+            word[rng.randrange(n)] = rng.randrange(q)
+        erased = rng.choice([0, n, rng.randint(1, n)])
+        for i in rng.sample(range(n), erased):
+            word[i] = None
+        yield word
+
+
+def _kind(outcome):
+    if outcome[0] == "ok":
+        return "ok"
+    if outcome[1] is InconsistentSyndrome:
+        return outcome[2]
+    return outcome[1].__name__
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_erasure_map_matches_syndrome_decoder(q):
+    rng = random.Random(6000 + q)
+    kinds = set()
+    for code in _erasure_codes(rng, q):
+        generator = _outcome(_systematic_generator, code)
+        assert generator == _outcome(oracles.systematic_generator, code)
+        kinds.add(_kind(generator))
+        for word in _received_words(rng, code):
+            decoded = _outcome(decode_erasures, code, word)
+            assert decoded == _outcome(oracles.decode_erasures, code, word)
+            kinds.add(_kind(decoded))
+    assert kinds == {
+        "ok",
+        "NotSystematic",
+        "Unrecoverable",
+        "known symbols contradict the code",
+        "received word is not a codeword",
+    }
+
+
+def test_de_decode_flags_a_tampered_parity_symbol():
+    """One parity symbol changed on a diagonal through a lost message: the
+    decoder raises the reference decoder's error on that diagonal."""
+    ch = ChannelParams(1, 2, 2, 9)
+    code = mds_code(9, 4)
+    rng = random.Random(7)
+    msgs = [[rng.randrange(code.field.q) for _ in range(code.k)] for _ in range(20)]
+    stream = de_encode(code, msgs)
+    packets = [list(p) for p in stream.packets]
+    d, j = 10, code.k  # diagonal 10 puts its first parity symbol in slot 10 + k
+    packets[d + j][j] = code.field.add(packets[d + j][j], 1)
+    tampered = PacketStream(stream.q, stream.n, stream.k, stream.message_count,
+                            tuple(map(tuple, packets)), frozenset({d}))
+    ref = _outcome(oracles.decode_erasures, code, _diagonal_word(tampered, d))
+    assert ref == ("raise", InconsistentSyndrome, "known symbols contradict the code")
+    assert _outcome(de_decode, tampered, code, StreamingParams(ch, 8)) == ref
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Static checks on the package source: no module imports a name it never
 uses, every module-level private function is referenced somewhere in the
-package and reads every parameter it takes, and no function rebinds module
-state through ``global``. ``__init__.py`` is exempt from the import check
-because its imports are the public re-exports. Every function the benchmark
-tracer wraps by name exists in the package."""
+package and reads every parameter it takes, module level binds only int and
+str constants, and no function rebinds module state through ``global``.
+``__init__.py`` is exempt from the import check because its imports are the
+public re-exports. Every function the benchmark tracer wraps by name exists
+in the package."""
 
 import ast
 from pathlib import Path
@@ -89,6 +90,31 @@ def test_no_global_statements():
         for name, tree in _modules().items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Global)
+    ]
+    assert found == []
+
+
+def _constant(node):
+    """The value of an expression made of literals and arithmetic operators,
+    or None for any other expression."""
+    if not all(
+        isinstance(n, (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop))
+        for n in ast.walk(node)
+    ):
+        return None
+    return eval(compile(ast.Expression(node), "<module constant>", "eval"))
+
+
+def test_module_level_binds_only_constants():
+    """Caps, salts and names are the only module state: a dict, list or
+    cache bound at module level would be shared by every caller."""
+    found = [
+        f"{name}:{node.lineno}: {ast.unparse(node)}"
+        for name, tree in _modules().items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        and node.value is not None
+        and type(_constant(node.value)) not in (int, str)
     ]
     assert found == []
 

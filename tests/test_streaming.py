@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from erasurelab import channel
 from erasurelab.channel import ChannelParams, ErasurePattern
 from erasurelab.codes import construction_one, generator_matrix, mds_code
 from erasurelab.errors import (
@@ -383,3 +384,45 @@ def test_simulate_guards():
         simulate(mds_code(7, 5), params, GilbertElliottSource(0.1, 0.5, 0.0, 0.5, 6), seed=1)
     with pytest.raises(ParameterViolation):
         simulate(CODE831, PARAMS831, PeriodicSource(2), seed=1)  # e < b - 1
+
+
+_P727 = StreamingParams(ChannelParams(2, 3, 2, 7), 6)
+
+
+@pytest.mark.parametrize("run, what", [
+    (lambda: simulate(mds_code(7, 5), _P727, PeriodicSource(2.5), 1), "periods"),
+    (lambda: simulate(mds_code(7, 5), _P727, PeriodicSource(True), 1), "periods"),
+    (lambda: simulate(mds_code(7, 5), _P727,
+                      GilbertElliottSource(0.1, 0.5, 0.0, 0.5, 60.0), 1), "slots"),
+    (lambda: simulate(mds_code(7, 5), _P727, PeriodicSource(3), 1.5), "seed"),
+    (lambda: simulate(mds_code(7, 5), _P727, PeriodicSource(3), "1"), "seed"),
+    (lambda: simulate(mds_code(7, 5), _P727,
+                      GilbertElliottSource(0.1, 0.5, 0.0, 0.5, 60), 1.5), "seed"),
+    (lambda: ge_source(0.2, 0.4, 0.1, 0.9, 10.0, seed=1), "length"),
+    (lambda: ge_source(0.2, 0.4, 0.1, 0.9, 10, seed="1"), "seed"),
+    (lambda: periodic_pattern(ChannelParams(2, 3, 2, 7), 1.5), "periods"),
+])
+def test_loss_sources_reject_non_integer_counts_and_seeds(run, what):
+    with pytest.raises(BadParameters, match=f"{what} must be an integer"):
+        run()
+
+
+def test_de_decode_reduces_h_once_per_erased_set(monkeypatch):
+    """A periodic loss repeats one erased set on the diagonals every period;
+    each distinct set is reduced once in a de_decode call."""
+    ch = ChannelParams(1, 2, 2, 9)
+    code = mds_code(9, 4)
+    params = StreamingParams(ch, 8)
+    loss = set(periodic_pattern(ch, 20))
+    msgs = _random_messages(code.k, code.field.q, 20 * 9 - 8, seed=3)
+    stream = de_encode(code, msgs).with_erasures(loss)
+    reductions = []
+    recovery = channel._recovery
+    monkeypatch.setattr(
+        channel, "_recovery", lambda *a: reductions.append(1) or recovery(*a)
+    )
+    trace = de_decode(stream, code, params)
+    assert trace.messages == tuple(msgs)
+    diagonals = {t - j for t in loss if t < len(msgs) for j in range(code.k)}
+    erased_sets = {tuple(j for j in range(9) if d + j in loss) for d in diagonals}
+    assert len(reductions) == len(erased_sets) < len(diagonals)
