@@ -551,11 +551,15 @@ def _rref(field: Field, rows) -> list[tuple[int, list[int]]]:
     )
 
 
-def _recovery(field: Field, rows, k: int):
-    """(M, C) from the RREF [I M; 0 C] of rows whose first k columns are
-    wanted: rows·v = 0 iff v[:k] = -M·v[k:] and C·v[k:] = 0. Raises
-    DependentColumns when those k columns are dependent."""
-    rref = _rref(field, rows)
+def _recovery(field: Field, rows, wanted):
+    """(M, C) from the RREF [I M; 0 C] of rows with the wanted columns moved
+    first and the rest kept in order: rows·v = 0 iff v[wanted] = -M·v[rest]
+    and C·v[rest] = 0. Raises DependentColumns when the wanted columns are
+    dependent."""
+    wanted = list(wanted)
+    k = len(wanted)
+    order = wanted + [j for j in range(len(rows[0])) if j not in wanted]
+    rref = _rref(field, [[row[j] for j in order] for row in rows])
     if [lead for lead, _ in rref[:k]] != list(range(k)):
         raise DependentColumns("selected columns are linearly dependent")
     return [row[k:] for _, row in rref[:k]], [row[k:] for _, row in rref[k:]]
@@ -644,7 +648,7 @@ def solve_for_columns(h: Matrix, cols, syndrome) -> list[int]:
     f = h.field
     aug = [[row[c] for c in cols] + [f.check(v)] for row, v in zip(h.data, syndrome)]
     # [H_E | s]·(x, -1) = 0: x = M's one column, and any row of C is [c != 0]
-    m, c = _recovery(f, aug, len(cols))
+    m, c = _recovery(f, aug, range(len(cols)))
     if c:
         raise InconsistentSyndrome("known symbols contradict the code")
     return [row[0] for row in m]

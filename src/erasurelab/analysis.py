@@ -208,7 +208,9 @@ def sparsify_construction_one(code: LinearCode) -> SparsityReport:
     prov = code.provenance
     if prov.get("construction") != "construction_one" or prov.get("b2") != 1:
         raise WrongProvenance("expected a construction_one code with b2 = 1")
-    b = prov["b1"]
+    b = prov.get("b1")
+    if isinstance(b, bool) or not isinstance(b, int) or code.h.nrows != b + 1:
+        raise WrongProvenance("provenance b1 does not match the parity-check matrix")
     f = code.field
     rows = [list(r) for r in code.h.data]
     rows[0] = [f.sub(x, y) for x, y in zip(rows[0], rows[b])]

@@ -247,10 +247,8 @@ def _decoder(code: LinearCode):
         erased = tuple(i for i, v in enumerate(received) if v is None)
         y = [f.check(v) for v in received if v is not None]
         if erased not in maps:
-            order = erased + tuple(i for i in range(code.n) if i not in erased)
-            rows = [[row[i] for i in order] for row in h]
             try:
-                maps[erased] = _recovery(f, rows, len(erased))
+                maps[erased] = _recovery(f, h, erased)
             except DependentColumns:
                 maps[erased] = None
         if maps[erased] is None:

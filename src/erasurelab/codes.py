@@ -18,6 +18,7 @@ from .algebra import (
     _json_int,
     _recovery,
     _rref,
+    columns_independent,
     field_make,
     mat_rank,
     poly_divides,
@@ -28,11 +29,9 @@ from .errors import (
     BadFieldOverride,
     BadParameters,
     BadReciprocal,
-    DependentColumns,
     DivisibilityViolation,
     LengthTooSmall,
     NotCyclic,
-    NotSystematic,
     StructureViolation,
     TooLarge,
 )
@@ -112,37 +111,20 @@ class CyclicCode(LinearCode):
 def generator_matrix(code: LinearCode) -> Matrix:
     """A k x n generator matrix with H @ G^T = 0.
 
-    Prefers the systematic orientation [I_k | P] (available whenever the last
-    n-k columns of H are invertible); otherwise falls back to a reduced
-    null-space basis ordered by free column.
+    The parity columns are the last n-k when they are independent, giving the
+    systematic orientation [I_k | P], and otherwise the pivot columns of H's
+    reduced row echelon form. A message u on the other columns takes -M·u on
+    the parity columns, M from _recovery.
     """
-    try:
-        return _systematic_generator(code)
-    except NotSystematic:
-        return _nullspace_generator(code)
-
-
-def _systematic_generator(code: LinearCode) -> Matrix:
-    try:
-        return _generator(code, list(range(code.k, code.n)))
-    except DependentColumns as exc:
-        raise NotSystematic("last n-k columns of H are singular") from exc
-
-
-def _nullspace_generator(code: LinearCode) -> Matrix:
-    return _generator(code, [lead for lead, _ in _rref(code.field, code.h.data)])
-
-
-def _generator(code: LinearCode, parity: list[int]) -> Matrix:
-    """The null-space basis of H that is the identity off the parity columns:
-    a message u there takes -M·u on them, M from _recovery with the parity
-    columns first. DependentColumns when those columns are dependent."""
-    f = code.field
-    free = [j for j in range(code.n) if j not in parity]
-    m, _ = _recovery(f, [[row[j] for j in parity + free] for row in code.h.data], len(parity))
+    f, n = code.field, code.n
+    parity = list(range(code.k, n))
+    if not columns_independent(code.h, parity):
+        parity = [lead for lead, _ in _rref(f, code.h.data)]
+    m, _ = _recovery(f, code.h.data, parity)
+    free = [j for j in range(n) if j not in parity]
     basis = []
     for i, j in enumerate(free):
-        vec = [0] * code.n
+        vec = [0] * n
         vec[j] = 1
         for p, row in zip(parity, m):
             vec[p] = f.neg(row[i])

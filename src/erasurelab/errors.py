@@ -93,11 +93,11 @@ class Unrecoverable(ErasureLabError):
     """Erasure pattern is not recoverable by this code."""
 
 
+# --- streaming ----------------------------------------------------------------
+
+
 class NotSystematic(ErasureLabError):
     """Code admits no systematic generator in the required orientation."""
-
-
-# --- streaming ----------------------------------------------------------------
 
 
 class UnsupportedDelay(ErasureLabError):

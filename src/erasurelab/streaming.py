@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import _json_int
+from .algebra import _json_int, columns_independent
 from .channel import (
     ChannelParams,
     VerificationReport,
@@ -24,12 +24,13 @@ from .channel import (
     _mask_admissible,
     _verify_family,
 )
-from .codes import LinearCode, _systematic_generator
+from .codes import LinearCode, generator_matrix
 from .errors import (
     BadParameters,
     BadProbability,
     DimensionMismatch,
     LengthMismatch,
+    NotSystematic,
     ParameterViolation,
     Unrecoverable,
     UnsupportedDelay,
@@ -114,12 +115,20 @@ class DecodeTrace:
         return sum(1 for m in self.misses if m)
 
 
+def _require_systematic(code: LinearCode) -> None:
+    """NotSystematic unless the last n-k columns of H are independent, which
+    is when the code has a generator [I_k | P]."""
+    if not columns_independent(code.h, range(code.k, code.n)):
+        raise NotSystematic("last n-k columns of H are singular")
+
+
 def de_encode(code: LinearCode, messages) -> PacketStream:
     """Encode message packets (length-k vectors) into a diagonal stream.
 
     Raises NotSystematic when the code has no [I_k | P] generator.
     """
-    g = _systematic_generator(code)
+    _require_systematic(code)
+    g = generator_matrix(code).data
     f = code.field
     n, k = code.n, code.k
     msgs = []
@@ -131,20 +140,21 @@ def de_encode(code: LinearCode, messages) -> PacketStream:
     if not msgs:
         raise BadParameters("need at least one message packet")
     t_count = len(msgs)
-
-    def u(t: int, i: int) -> int:
-        return msgs[t][i] if 0 <= t < t_count else 0
-
+    # message t sits at u[t + n - 1]; the zero messages around it stand for
+    # the ones before time 0 and after the last
+    pad = [(0,) * k] * (n - 1)
+    u = pad + msgs + pad
+    add, mul = f.add, f.mul
     packets = []
     for s in range(t_count + n - 1):
-        pkt = [u(s, j) for j in range(k)]
+        pkt = list(u[s + n - 1])
         for j in range(k, n):
             acc = 0
-            d = s - j  # diagonal started at time d puts position j in slot s
+            d = s - j + n - 1  # u index of the diagonal with position j in slot s
             for i in range(k):
-                x = u(d + i, i)
+                x = u[d + i][i]
                 if x:
-                    acc = f.add(acc, f.mul(x, g.data[i][j]))
+                    acc = add(acc, mul(x, g[i][j]))
             pkt.append(acc)
         packets.append(tuple(pkt))
     return PacketStream(f.q, n, k, t_count, tuple(packets), frozenset())
@@ -272,6 +282,8 @@ def ge_source(
     (GE_ALGORITHM names the generator), so sequences are reproducible.
     """
     for p in (good_to_bad, bad_to_good, loss_good, loss_bad):
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise BadProbability(f"probability must be a number, got {p!r}")
         if not 0.0 <= p <= 1.0:
             raise BadProbability(f"probability {p} outside [0, 1]")
     if _json_int(length, "length") < 0:
@@ -306,7 +318,7 @@ def verify_streaming_code(code: LinearCode, params: StreamingParams) -> Verifica
         raise UnsupportedDelay(f"verifier requires tau = w-1 = {w - 1}, got {params.tau}")
     if code.n != w:
         raise DimensionMismatch(f"diagonal embedding needs n = w, got n={code.n}, w={w}")
-    _systematic_generator(code)  # NotSystematic if the orientation is impossible
+    _require_systematic(code)
     return _verify_family(code, _admissible_supports(params.channel))
 
 

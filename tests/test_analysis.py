@@ -213,6 +213,15 @@ def test_sparsify_provenance_guards():
         sparsify_construction_one(construction_one(8, 2, 2))  # b2 != 1
 
 
+@pytest.mark.parametrize("b1", [7, 0, "x", None, True, 3.0])
+def test_sparsify_rejects_edited_b1(b1):
+    obj = construction_one(8, 3, 1).to_json()
+    obj["provenance"]["b1"] = b1
+    code = LinearCode.from_json(obj)  # only cyclic provenance is rebuilt
+    with pytest.raises(WrongProvenance, match="b1 does not match"):
+        sparsify_construction_one(code)
+
+
 # ---------------------------------------------------------------------------
 # cyclic-code reports
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """The shared elimination routine, Zech-logarithm addition, the pattern
 families, the prefix-sharing independence walk, the minimum-distance subset
-search, the exhaustive searches, erasure decoding and the systematic
-generator against the reference code in ``oracles``: same ranks, matrices,
-solutions, decoded words, verdicts, witnesses, ``patterns_checked`` counts,
-pattern orders, first-found parity checks, exception types and messages on
-seeded random inputs."""
+search, the exhaustive searches, erasure decoding, the generator and the
+stream encoder against the reference code in ``oracles``: same ranks,
+matrices, solutions, decoded words, encoded codewords, verdicts, witnesses,
+``patterns_checked`` counts, pattern orders, first-found parity checks,
+exception types and messages on seeded random inputs."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from erasurelab.algebra import (
     Matrix,
     Poly,
     _digits,
+    _dot,
     _first_dependent,
     field_make,
     mat_rank,
@@ -51,9 +52,8 @@ from erasurelab.channel import (
 from erasurelab.codes import (
     LinearCode,
     _min_dist_subsets,
-    _nullspace_generator,
-    _systematic_generator,
     cyclic_from_h,
+    generator_matrix,
     mds_code,
 )
 from erasurelab.errors import ErasureLabError, InconsistentSyndrome
@@ -108,6 +108,15 @@ def _elimination_inputs(rng, q):
         yield rows
 
 
+def _reference_generator(code):
+    """The [I_k | P] generator when the last n - k columns of H allow it, the
+    reduced null-space basis otherwise."""
+    systematic = _outcome(oracles.systematic_generator, code)
+    if systematic[0] == "ok":
+        return systematic
+    return _outcome(oracles.nullspace_generator, code)
+
+
 @pytest.mark.parametrize("q", FIELDS)
 def test_elimination_matches_reference_loops(q):
     rng = random.Random(1000 + q)
@@ -135,10 +144,9 @@ def test_elimination_matches_reference_loops(q):
             oracles.solve_for_columns, h, cols, syndrome
         )
 
-        code = SimpleNamespace(field=f, h=h, n=nc)
-        assert _outcome(_nullspace_generator, code) == _outcome(
-            oracles.nullspace_generator, code
-        )
+        # k floored at 0 where H has more rows than columns
+        code = SimpleNamespace(field=f, h=h, n=nc, k=max(nc - nr, 0))
+        assert _outcome(generator_matrix, code) == _reference_generator(code)
         if 2 <= nr <= nc:
             b = rng.randint(1, nr - 1)
             assert _outcome(mds_subblock_check, code, b, nr - b) == _outcome(
@@ -147,7 +155,7 @@ def test_elimination_matches_reference_loops(q):
 
 
 # ---------------------------------------------------------------------------
-# erased-coordinate map: erasure decoding and the systematic generator
+# erased-coordinate map: erasure decoding, the generator and the encoder
 # ---------------------------------------------------------------------------
 
 
@@ -200,9 +208,18 @@ def test_erasure_map_matches_syndrome_decoder(q):
     rng = random.Random(6000 + q)
     kinds = set()
     for code in _erasure_codes(rng, q):
-        generator = _outcome(_systematic_generator, code)
-        assert generator == _outcome(oracles.systematic_generator, code)
-        kinds.add(_kind(generator))
+        assert _outcome(generator_matrix, code) == _reference_generator(code)
+        # diagonal 0 carries symbol i of message i and then their parity
+        msgs = [[rng.randrange(q) for _ in range(code.k)] for _ in range(code.k)]
+        stream = _outcome(de_encode, code, msgs)
+        systematic = _outcome(oracles.systematic_generator, code)
+        if systematic[0] == "ok":
+            x = [msgs[i][i] for i in range(code.k)]
+            word = [_dot(code.field, x, col) for col in zip(*systematic[1].data)]
+            assert [stream[1].packets[j][j] for j in range(code.n)] == word
+        else:
+            assert stream == systematic
+        kinds.add(_kind(stream))
         for word in _received_words(rng, code):
             decoded = _outcome(decode_erasures, code, word)
             assert decoded == _outcome(oracles.decode_erasures, code, word)

@@ -5,14 +5,16 @@ import random
 
 import pytest
 
-from erasurelab import channel
+from erasurelab import channel, streaming
+from erasurelab.algebra import Matrix, field_make
 from erasurelab.channel import ChannelParams, ErasurePattern
-from erasurelab.codes import construction_one, generator_matrix, mds_code
+from erasurelab.codes import LinearCode, construction_one, generator_matrix, mds_code
 from erasurelab.errors import (
     BadParameters,
     BadProbability,
     DimensionMismatch,
     LengthMismatch,
+    NotSystematic,
     ParameterViolation,
     UnsupportedDelay,
 )
@@ -231,6 +233,7 @@ def test_ge_source_extremes():
     assert ge_source(0.2, 0.4, 0.1, 0.9, 0, seed=1) == ()
     # slot 0 is drawn in the good state, then the chain is absorbed in bad
     assert ge_source(1.0, 0.0, 0.0, 1.0, 10, seed=7) == tuple(range(1, 10))
+    assert ge_source(1, 0, 0, 1, 10, seed=7) == tuple(range(1, 10))
 
 
 def test_ge_source_guards():
@@ -240,6 +243,17 @@ def test_ge_source_guards():
         ge_source(0.2, 0.4, -0.1, 0.9, 10, seed=1)
     with pytest.raises(BadParameters):
         ge_source(0.2, 0.4, 0.1, 0.9, -1, seed=1)
+
+
+@pytest.mark.parametrize("p", ["0.2", None, True, False, [0.2]])
+def test_ge_source_rejects_non_numbers(p):
+    with pytest.raises(BadProbability, match="probability must be a number"):
+        ge_source(p, 0.4, 0.1, 0.9, 10, seed=1)
+    with pytest.raises(BadProbability, match="probability must be a number"):
+        ge_source(0.2, 0.4, 0.1, p, 10, seed=1)
+    params = StreamingParams(ChannelParams(2, 3, 2, 7), 6)
+    with pytest.raises(BadProbability, match="probability must be a number"):
+        simulate(mds_code(7, 5), params, GilbertElliottSource(p, 0.5, 0.05, 0.8, 60), seed=1)
 
 
 def test_verifier_accepts_construction_one():
@@ -274,11 +288,49 @@ def test_verifier_builds_a_pattern_only_for_its_witness(monkeypatch):
     assert built == [over.witness.support] == [(0, 1, 2, 3)]
 
 
+def test_streaming_never_builds_a_generator_to_verify(monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        streaming, "generator_matrix", lambda code: built.append(code) or generator_matrix(code)
+    )
+    params = StreamingParams(ChannelParams(2, 3, 1, 6), 5)
+    assert verify_streaming_code(mds_code(6, 4), params).verdict is True
+    assert verify_streaming_code(mds_code(6, 3), params).verdict is False
+    assert built == []
+
+
 def test_verifier_guards():
     with pytest.raises(UnsupportedDelay):
         verify_streaming_code(CODE831, StreamingParams(ChannelParams(1, 3, 1, 8), 8))
     with pytest.raises(DimensionMismatch):
         verify_streaming_code(CODE831, StreamingParams(ChannelParams(2, 3, 1, 6), 5))
+
+
+# [6, 4] over GF(2) whose last two columns are equal: no [I_k | P] generator
+NOT_SYSTEMATIC = LinearCode(
+    Matrix(field_make(2), [[0, 0, 1, 0, 1, 1], [0, 0, 0, 1, 1, 1]])
+)
+
+
+def test_verifier_rejects_a_code_without_systematic_orientation():
+    params = StreamingParams(ChannelParams(2, 3, 1, 6), 5)
+    with pytest.raises(NotSystematic, match="^last n-k columns of H are singular$"):
+        verify_streaming_code(NOT_SYSTEMATIC, params)
+    # the delay and length guards come first
+    with pytest.raises(UnsupportedDelay):
+        verify_streaming_code(NOT_SYSTEMATIC, StreamingParams(ChannelParams(2, 3, 1, 6), 6))
+    with pytest.raises(DimensionMismatch):
+        verify_streaming_code(NOT_SYSTEMATIC, StreamingParams(ChannelParams(2, 3, 1, 7), 6))
+
+
+def test_de_encode_rejects_a_code_without_systematic_orientation():
+    with pytest.raises(NotSystematic, match="^last n-k columns of H are singular$"):
+        de_encode(NOT_SYSTEMATIC, [(1, 0, 1, 1)])
+    # before any message check
+    with pytest.raises(NotSystematic):
+        de_encode(NOT_SYSTEMATIC, [])
+    with pytest.raises(NotSystematic):
+        de_encode(NOT_SYSTEMATIC, [(1, 2)])
 
 
 def test_decode_roundtrip_with_burst_plus_straggler():
