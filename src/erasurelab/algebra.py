@@ -33,6 +33,8 @@ from .errors import (
 )
 
 _Q_CAP = 1 << 16
+# fields up to this size keep flat q x q arithmetic tables
+_TABLE_CAP = 256
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -72,6 +74,26 @@ def _digits(v: int, p: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _spread(x: int, p: int, m: int) -> int:
+    """x's base-p digits read in radix 2p-1, where adding two spread
+    elements carries from no digit into the next."""
+    v = 0
+    for d in reversed(_digits(x, p, m)):
+        v = v * (2 * p - 1) + d
+    return v
+
+
+def _lanes_mod_p(p: int, d: int) -> list[int]:
+    """t[v] for v < (2p-1)**d: the radix-(2p-1) digits of v, each taken mod
+    p, read in base p. It maps the sum of two spread elements of d digits
+    to their field sum."""
+    lane = [c % p for c in range(2 * p - 1)]
+    t = [0]
+    for _ in range(d):
+        t = [c + p * x for x in t for c in lane]
+    return t
+
+
 def _monic_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Deterministic modulus: the first monic irreducible of degree m over
     GF(p) when non-leading coefficient vectors are scanned in ascending
@@ -101,9 +123,17 @@ class Field:
 
     Do not instantiate directly; go through :func:`field_make` so that equal
     sizes share one (immutable, table-backed) instance.
+
+    Besides the element methods, a field carries three row primitives, the
+    only vector arithmetic the kernels use: ``submul(v, c, u)`` is v - c*u,
+    ``scale(c, u)`` is c*u and ``dot(u, v)`` the dot product. Which tables
+    they run on is decided once, when the field is built.
     """
 
-    __slots__ = ("q", "p", "m", "modulus", "_exp", "_log", "_gen", "_zech")
+    __slots__ = (
+        "q", "p", "m", "modulus", "_exp", "_log", "_gen", "_zech", "_mt", "_at", "_st",
+        "submul", "scale", "dot",
+    )
 
     def __init__(self, q: int):
         p, m = _factor_prime_power(q)
@@ -147,8 +177,30 @@ class Field:
             n >>= 1
         return r
 
+    def _times(self, g: int):
+        """x -> x*g without a digit multiply, for filling the exp table."""
+        p, m = self.p, self.m
+        if m == 1:
+            return lambda x: x * g % p
+        # x*g is GF(p)-linear in the digits of x: the sum of its images on
+        # the low h and the high m-h digits. The images are spread (see
+        # _spread), so that sum is one integer addition, and the
+        # _lanes_mod_p tables read it back as an element.
+        h = m // 2
+        low = p**h
+        lo = [_spread(self._raw_mul(x, g), p, m) for x in range(low)]
+        hi = [_spread(self._raw_mul(x * low, g), p, m) for x in range(self.q // low)]
+        back_lo, back_hi = _lanes_mod_p(p, h), _lanes_mod_p(p, m - h)
+        split = (2 * p - 1) ** h
+
+        def times(x: int) -> int:
+            s_hi, s_lo = divmod(lo[x % low] + hi[x // low], split)
+            return back_lo[s_lo] + low * back_hi[s_hi]
+
+        return times
+
     def _build_tables(self) -> None:
-        q = self.q
+        q, p, m = self.q, self.p, self.m
         order_factors = _prime_factors(q - 1)
         gen = None
         for g in range(1, q):
@@ -156,25 +208,38 @@ class Field:
                 gen = g
                 break
         assert gen is not None
+        times_gen = self._times(gen)
         exp = [0] * (2 * (q - 1))
         log = [0] * q
         x = 1
         for i in range(q - 1):
             exp[i] = x
-            exp[i + q - 1] = x
             log[x] = i
-            x = self._raw_mul(x, gen)
+            x = times_gen(x)
+        exp[q - 1 :] = exp[: q - 1]
         self._gen = gen
         self._exp = exp
         self._log = log
         # Zech logarithms for odd-characteristic extension fields:
         # 1 + alpha^n = alpha^zech[n], with -1 marking 1 + alpha^n = 0.
         self._zech = None
-        if self.m > 1 and self.p != 2:
-            p = self.p
+        if m > 1 and p != 2:
             # adding 1 only changes the lowest base-p digit
             plus_one = [x + 1 if x % p != p - 1 else x + 1 - p for x in exp[: q - 1]]
             self._zech = [log[y] if y else -1 for y in plus_one]
+        # Flat q x q product, sum and difference tables behind the row
+        # primitives; above _TABLE_CAP they would not fit.
+        self._mt = self._at = self._st = None
+        if q <= _TABLE_CAP:
+            logs = log[1:]
+            self._mt = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
+            spread = [_spread(x, p, m) for x in range(q)]
+            back = _lanes_mod_p(p, m)
+            self._at = [[back[a + b] for b in spread] for a in spread]
+            negs = [self.neg(b) for b in range(q)]
+            self._st = [[row[b] for b in negs] for row in self._at]
+        rows = _table_rows if q <= _TABLE_CAP else _log_rows
+        self.submul, self.scale, self.dot = rows(self)
 
     # -- element arithmetic ----------------------------------------------
 
@@ -285,6 +350,54 @@ class Field:
         return f"GF({self.q})"
 
 
+def _table_rows(f: Field):
+    """The row primitives on the flat q x q tables."""
+    mt, at, st = f._mt, f._at, f._st
+
+    def submul(v, c: int, u) -> list[int]:
+        mc = mt[c]
+        return [st[a][mc[x]] for a, x in zip(v, u)]
+
+    def scale(c: int, u) -> list[int]:
+        mc = mt[c]
+        return [mc[x] for x in u]
+
+    def dot(u, v) -> int:
+        acc = 0
+        for x, y in zip(u, v):
+            acc = at[acc][mt[x][y]]
+        return acc
+
+    return submul, scale, dot
+
+
+def _log_rows(f: Field):
+    """The row primitives for fields too large for flat tables: products
+    through the exp/log tables, sums through the element methods."""
+    add, sub, exp, log = f.add, f.sub, f._exp, f._log
+
+    def submul(v, c: int, u) -> list[int]:
+        if not c:
+            return list(v)
+        lc = log[c]
+        return [sub(a, exp[lc + log[x]]) if x else a for a, x in zip(v, u)]
+
+    def scale(c: int, u) -> list[int]:
+        if not c:
+            return [0] * len(u)
+        lc = log[c]
+        return [exp[lc + log[x]] if x else 0 for x in u]
+
+    def dot(u, v) -> int:
+        acc = 0
+        for x, y in zip(u, v):
+            if x and y:
+                acc = add(acc, exp[log[x] + log[y]])
+        return acc
+
+    return submul, scale, dot
+
+
 @lru_cache(maxsize=None)
 def field_make(q: int) -> Field:
     """Build (or fetch the cached) GF(q).
@@ -350,11 +463,11 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
         return Poly(a.field, ())
     f = a.field
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    nb = len(b.coeffs)
+    out = [0] * (len(a.coeffs) + nb - 1)
     for i, ai in enumerate(a.coeffs):
-        if ai:
-            for j, bj in enumerate(b.coeffs):
-                out[i + j] = f.add(out[i + j], f.mul(ai, bj))
+        if ai:  # out += ai*b, shifted by i
+            out[i : i + nb] = f.submul(out[i : i + nb], f.neg(ai), b.coeffs)
     return Poly(f, tuple(out))
 
 
@@ -373,8 +486,7 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         if c:
             qc = f.mul(c, lead_inv)
             quo[i - dd] = qc
-            for j, dj in enumerate(den.coeffs):
-                rem[i - dd + j] = f.sub(rem[i - dd + j], f.mul(qc, dj))
+            rem[i - dd : i + 1] = f.submul(rem[i - dd : i + 1], qc, den.coeffs)
     return Poly(f, tuple(quo)), Poly(f, tuple(rem[:dd]))
 
 
@@ -466,7 +578,7 @@ class Matrix:
             raise DimensionMismatch(f"{self.ncols} cols vs {other.nrows} rows")
         f = self.field
         cols = list(zip(*other.data))
-        return Matrix(f, [[_dot(f, r, c) for c in cols] for r in self.data])
+        return Matrix(f, [[f.dot(r, c) for c in cols] for r in self.data])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -501,29 +613,17 @@ class Matrix:
         return m
 
 
-def _dot(field: Field, u, v) -> int:
-    """The dot product of two equal-length vectors."""
-    add, mul = field.add, field.mul
-    acc = 0
-    for x, y in zip(u, v):
-        if x and y:
-            acc = add(acc, mul(x, y))
-    return acc
-
-
 def _reduce(field: Field, basis, vec) -> list[int]:
     """vec reduced against a pivot basis of (lead, row) pairs, each row 1 at
     its own lead and 0 at the leads before it. The result is 0 at every lead,
     and all zero iff vec lies in the span of the basis.
     """
-    mul, sub = field.mul, field.sub
+    submul = field.submul
     v = list(vec)
     for lead, row in basis:
         c = v[lead]
         if c:
-            for i, x in enumerate(row):
-                if x:
-                    v[i] = sub(v[i], mul(c, x))
+            v = submul(v, c, row)
     return v
 
 
@@ -533,8 +633,7 @@ def _push(field: Field, basis: list, vec) -> bool:
     v = _reduce(field, basis, vec)
     for lead, x in enumerate(v):
         if x:
-            inv = field.inv(x)
-            basis.append((lead, [field.mul(inv, y) for y in v]))
+            basis.append((lead, field.scale(field.inv(x), v)))
             return True
     return False
 

@@ -206,14 +206,16 @@ def sparsify_construction_one(code: LinearCode) -> SparsityReport:
     from the identity block).
     """
     prov = code.provenance
-    if prov.get("construction") != "construction_one" or prov.get("b2") != 1:
+    b2 = prov.get("b2")
+    b2_is_one = isinstance(b2, int) and not isinstance(b2, bool) and b2 == 1
+    if prov.get("construction") != "construction_one" or not b2_is_one:
         raise WrongProvenance("expected a construction_one code with b2 = 1")
     b = prov.get("b1")
     if isinstance(b, bool) or not isinstance(b, int) or code.h.nrows != b + 1:
         raise WrongProvenance("provenance b1 does not match the parity-check matrix")
     f = code.field
     rows = [list(r) for r in code.h.data]
-    rows[0] = [f.sub(x, y) for x, y in zip(rows[0], rows[b])]
+    rows[0] = f.submul(rows[0], 1, rows[b])
     for i in range(b + 1):
         if any(rows[i][j] != (1 if j == i else 0) for j in range(b + 1)):
             raise StructureViolation("left block failed to reduce to the identity")

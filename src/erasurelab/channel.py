@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import _dot, _first_dependent, _json_int, _recovery, columns_independent
+from .algebra import _first_dependent, _json_int, _recovery, columns_independent
 from .codes import LinearCode
 from .errors import (
     BadParameters,
@@ -254,11 +254,11 @@ def _decoder(code: LinearCode):
         if maps[erased] is None:
             raise Unrecoverable(f"erasures at {list(erased)} are not recoverable")
         m, c = maps[erased]
-        if any(_dot(f, row, y) for row in c):
+        if any(f.dot(row, y) for row in c):
             raise InconsistentSyndrome("known symbols contradict the code" if erased
                                        else "received word is not a codeword")
         for i, row in zip(erased, m):
-            received[i] = f.neg(_dot(f, row, y))
+            received[i] = f.neg(f.dot(row, y))
         return received
 
     return decode

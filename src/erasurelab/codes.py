@@ -281,7 +281,6 @@ def _min_weight_enum(code: LinearCode) -> int:
     g = generator_matrix(code)
     n, k, q = code.n, code.k, code.field.q
     best = n + 1
-    add, mul = f.add, f.mul
     rows = list(g.data)
 
     # Scalar multiples share a weight, so the leading nonzero message digit
@@ -299,8 +298,9 @@ def _min_weight_enum(code: LinearCode) -> int:
         if not started:
             rec(i + 1, row, True)
         else:
+            # cur - c*row runs over cur plus every nonzero multiple of row
             for c in range(1, q):
-                rec(i + 1, tuple(add(x, mul(c, y)) for x, y in zip(cur, row)), True)
+                rec(i + 1, f.submul(cur, c, row), True)
 
     rec(0, (0,) * n, False)
     return best

@@ -144,20 +144,16 @@ def de_encode(code: LinearCode, messages) -> PacketStream:
     # the ones before time 0 and after the last
     pad = [(0,) * k] * (n - 1)
     u = pad + msgs + pad
-    add, mul = f.add, f.mul
-    packets = []
-    for s in range(t_count + n - 1):
-        pkt = list(u[s + n - 1])
-        for j in range(k, n):
-            acc = 0
-            d = s - j + n - 1  # u index of the diagonal with position j in slot s
-            for i in range(k):
-                x = u[d + i][i]
-                if x:
-                    acc = add(acc, mul(x, g[i][j]))
-            pkt.append(acc)
-        packets.append(tuple(pkt))
-    return PacketStream(f.q, n, k, t_count, tuple(packets), frozenset())
+    # diagonal d carries u[d][0], u[d + 1][1], ..., u[d + k - 1][k - 1] and
+    # puts its position j in slot d + j - (n - 1)
+    slots = t_count + n - 1
+    diagonals = [[u[d + i][i] for i in range(k)] for d in range(slots + n - 1 - k)]
+    parity = [
+        [f.dot(x, col) for x in diagonals[n - 1 - j : n - 1 - j + slots]]
+        for j, col in enumerate(list(zip(*g))[k:], k)
+    ]
+    packets = tuple(m + p for m, p in zip(u[n - 1 :], zip(*parity)))
+    return PacketStream(f.q, n, k, t_count, packets, frozenset())
 
 
 def _diagonal_word(stream: PacketStream, d: int):

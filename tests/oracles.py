@@ -47,7 +47,8 @@ _ENUM_N_CAP = 20
 
 class DigitField:
     """A Field whose add/sub/neg walk base-p digit tuples; mul and inv are
-    delegated to the wrapped Field's exp/log tables."""
+    delegated to the wrapped Field's exp/log tables, and the row primitives
+    the library's elimination calls go element by element through these."""
 
     def __init__(self, field):
         self.field = field
@@ -88,6 +89,12 @@ class DigitField:
         for x, y in zip(reversed(da), reversed(db)):
             v = v * p + (x - y) % p
         return v
+
+    def submul(self, v, c: int, u) -> list[int]:
+        return [self.sub(a, self.mul(c, x)) for a, x in zip(v, u)]
+
+    def scale(self, c: int, u) -> list[int]:
+        return [self.mul(c, x) for x in u]
 
 
 def mat_rank(m: Matrix) -> int:

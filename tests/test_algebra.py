@@ -165,6 +165,64 @@ def test_field_axioms_exhaustive(q):
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
+def _is_prime_power(q):
+    try:
+        field_make(q)
+    except NotPrimePower:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 257) if _is_prime_power(q)])
+def test_flat_tables_match_element_methods(q):
+    """Every pair up to q = 64, a seeded sample above."""
+    f = field_make(q)
+    if q <= 64:
+        pairs = itertools.product(range(q), repeat=2)
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)]
+    for a, b in pairs:
+        assert f._mt[a][b] == f.mul(a, b)
+        assert f._at[a][b] == f.add(a, b)
+        assert f._st[a][b] == f.sub(a, b)
+
+
+@pytest.mark.parametrize("q", [2, 9, 11, 243, 256, 257, 625, 1024, 65536])
+def test_row_primitives_match_element_loops(q):
+    """Flat tables up to q = 256, exp/log products and element-method sums
+    above: the same results as the element methods, c = 0 and 1 included."""
+    f = field_make(q)
+    assert (f._mt is None) == (q > 256)
+    rng = random.Random(q)
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        u = [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(n)]
+        v = [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(n)]
+        c = rng.choice([0, 1, rng.randrange(q)])
+        assert f.submul(v, c, u) == [f.sub(a, f.mul(c, x)) for a, x in zip(v, u)]
+        assert f.scale(c, u) == [f.mul(c, x) for x in u]
+        acc = 0
+        for x, y in zip(u, v):
+            acc = f.add(acc, f.mul(x, y))
+        assert f.dot(u, v) == acc
+
+
+@pytest.mark.parametrize(
+    "q", [4, 9, 27, 125, 243, 256, 343, 1024, 2187, 4096, 50653, 59049, 63001, 65521, 65536]
+)
+def test_exp_table_follows_the_digit_multiply(q):
+    """The exp table, filled through the linear map of multiplication by the
+    generator, steps exactly as the table-free digit multiply does: every
+    step up to q = 4096, a seeded sample above."""
+    f = field_make(q)
+    g = f.primitive_element()
+    steps = range(q - 1) if q <= 4096 else random.Random(q).sample(range(q - 1), 2000)
+    for i in steps:
+        assert f._exp[i + 1] == f._raw_mul(f._exp[i], g)
+    assert sorted(f._exp[: q - 1]) == list(range(1, q))
+
+
 @pytest.mark.parametrize("q", [5, 8, 9])
 def test_pow_matches_repeated_mul(q):
     f = field_make(q)

@@ -211,6 +211,11 @@ def test_sparsify_provenance_guards():
         sparsify_construction_one(mds_code(8, 4))
     with pytest.raises(WrongProvenance):
         sparsify_construction_one(construction_one(8, 2, 2))  # b2 != 1
+    for b2 in (True, 1.0):  # equal to 1, but not an int
+        obj = construction_one(8, 3, 1).to_json()
+        obj["provenance"]["b2"] = b2
+        with pytest.raises(WrongProvenance, match="b2 = 1"):
+            sparsify_construction_one(LinearCode.from_json(obj))
 
 
 @pytest.mark.parametrize("b1", [7, 0, "x", None, True, 3.0])
