@@ -29,7 +29,6 @@ from .errors import (
     NotPrimePower,
     SingularBlock,
     TooLarge,
-    ZeroElement,
 )
 
 _Q_CAP = 1 << 16
@@ -136,7 +135,7 @@ class Field:
     )
 
     def __init__(self, q: int):
-        p, m = _factor_prime_power(q)
+        p, m = _factor_prime_power(_json_int(q, "field size"))
         self.q = q
         self.p = p
         self.m = m
@@ -300,13 +299,6 @@ class Field:
             raise DivisionByZero("inverse of 0")
         return self._exp[self.q - 1 - self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise DivisionByZero("division by 0")
-        if a == 0:
-            return 0
-        return self._exp[self._log[a] - self._log[b] + self.q - 1]
-
     def pow(self, x: int, n: int) -> int:
         if x == 0:
             if n == 0:
@@ -319,11 +311,6 @@ class Field:
     def primitive_element(self) -> int:
         """The smallest-encoding generator of the multiplicative group."""
         return self._gen
-
-    def element_order(self, x: int) -> int:
-        if x == 0:
-            raise ZeroElement("0 has no multiplicative order")
-        return (self.q - 1) // math.gcd(self._log[x], self.q - 1)
 
     # -- misc --------------------------------------------------------------
 
@@ -398,7 +385,7 @@ def _log_rows(f: Field):
     return submul, scale, dot
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def field_make(q: int) -> Field:
     """Build (or fetch the cached) GF(q).
 
@@ -412,7 +399,7 @@ def field_make(q: int) -> Field:
 
 def smallest_prime_power_at_least(n: int) -> int:
     """The least prime power q with q >= max(n, 2)."""
-    q = max(n, 2)
+    q = max(_json_int(n, "n"), 2)
     while True:
         try:
             _factor_prime_power(q)
@@ -501,7 +488,7 @@ def poly_divides(a: Poly, b: Poly) -> bool:
 
 
 def x_pow_n_minus_1(field: Field, n: int) -> Poly:
-    if n < 1:
+    if _json_int(n, "n") < 1:
         raise BadParameters(f"need n >= 1, got {n}")
     return Poly(field, (field.neg(1),) + (0,) * (n - 1) + (1,))
 
@@ -558,19 +545,8 @@ class Matrix:
     def ncols(self) -> int:
         return len(self.data[0])
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field: Field, r: int, c: int) -> "Matrix":
-        return cls(field, [[0] * c for _ in range(r)])
-
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.data)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.data)))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         _require_same_field(self.field, other.field)

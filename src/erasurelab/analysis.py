@@ -17,7 +17,6 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +24,7 @@ from .algebra import (
     Matrix,
     _digits,
     _first_dependent,
+    _json_int,
     _push,
     _reduce,
     columns_independent,
@@ -115,18 +115,18 @@ def random_field_lower_bound(n: int, b: int, e: int) -> int:
     conjecture (the reduced subblock must generate an [n-b, e] MDS code);
     other parameters raise OutOfScope.
     """
-    if e <= 1:
+    if _json_int(e, "e") <= 1:
         raise OutOfScope(f"bound requires e > 1, got e={e}")
-    if b < 1:
+    if _json_int(b, "b") < 1:
         raise BadParameters(f"need b >= 1, got {b}")
-    if n <= b + e + 1:
+    if _json_int(n, "n") <= b + e + 1:
         raise OutOfScope(f"bound requires n > b+e+1 = {b + e + 1}, got n={n}")
     return n - b - 2
 
 
 def sparse_field_lower_bound(n: int, b: int) -> int:
     """Field sizes below ceil(n/b) - 1 cannot reach the sparsity floor."""
-    if b < 1 or n <= b + 1:
+    if _json_int(b, "b") < 1 or _json_int(n, "n") <= b + 1:
         raise BadParameters(f"need n >= b+2 >= 3, got n={n}, b={b}")
     return -(-n // b) - 1
 
@@ -134,7 +134,7 @@ def sparse_field_lower_bound(n: int, b: int) -> int:
 def sparsity_minimum(n: int, b: int) -> int:
     """Fewest nonzeros in any systematic parity-check matrix of an
     [n, n-(b+1)] code recovering a length-b burst plus one random erasure."""
-    if b < 1 or n <= b + 1:
+    if _json_int(b, "b") < 1 or _json_int(n, "n") <= b + 1:
         raise BadParameters(f"need n >= b+2 >= 3, got n={n}, b={b}")
     ell = -(-n // b)
     t = max(ell - 2, 0)
@@ -158,7 +158,7 @@ def mds_subblock_check(code: LinearCode, b: int, e: int) -> bool:
     Any code recovering one length-b burst plus e random erasures must pass;
     this is the structural core of the field-size bound.
     """
-    if b < 1 or e < 1:
+    if _json_int(b, "b") < 1 or _json_int(e, "e") < 1:
         raise BadParameters(f"need b, e >= 1, got b={b}, e={e}")
     h = code.h
     if h.nrows != b + e:
@@ -316,7 +316,7 @@ def resolve_workers(requested: int | None = None) -> int:
         cap = 1
     if requested is None:
         return cap
-    return max(1, min(requested, cap))
+    return max(1, min(_json_int(requested, "workers"), cap))
 
 
 def _prep_groups(n: int, r: int, supports):
@@ -389,22 +389,24 @@ def _dfs(field, r: int, groups, depth: int, cols, candidates):
 
 
 def _search_chunk(args):
-    """Scan column 0 over positions [lo, hi) of the normalized sequence."""
-    q, r, groups, lo, hi = args
-    return _dfs(field_make(q), r, groups, 0, [], itertools.islice(_normalized(q, r), lo, hi))
+    """Scan column 0 over every workers-th normalized candidate from position i."""
+    q, r, groups, i, workers = args
+    candidates = itertools.islice(_normalized(q, r), i, None, workers)
+    return _dfs(field_make(q), r, groups, 0, [], candidates)
 
 
 def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
     """First [P | I] code recovering every pattern of family(), or None.
 
-    The family is built and grouped once here. Workers scan consecutive
-    ranges of column 0's normalized candidates; results are read in scan
-    order, so the first hit is the serial one.
+    The family is built and grouped once here. With more than one worker,
+    worker i scans every workers-th column-0 candidate from position i, and
+    the hit whose column 0 comes first in scan order is the serial one.
     """
-    k = n - r
+    k = _json_int(n, "n") - r
     if k < 1:
         raise BadParameters(f"need n > {r} so that k >= 1, got n={n}")
-    if q < 2:
+    _json_int(workers, "workers")
+    if _json_int(q, "q") < 2:
         field_make(q)  # NotPrimePower, before q's power is read as a count
     rk = r * k
     # q >= 2, so q^(r*k) is over the cap once r*k reaches the cap's bit length
@@ -416,15 +418,17 @@ def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
     groups = _prep_groups(n, r, family())
     if groups is None:
         return None
-    space = 1 + (q**r - 1) // (q - 1)  # length of _normalized(q, r)
-    workers = max(1, min(workers, space))
-    step = -(-space // workers)
-    chunks = [(q, r, groups, lo, min(lo + step, space)) for lo in range(0, space, step)]
-    if workers == 1:
-        cols = _search_chunk(chunks[0])
+    if workers < 2:
+        cols = _dfs(field, r, groups, 0, [], _normalized(q, r))
     else:
+        # imported here so that no serial run pays for loading multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunks = [(q, r, groups, i, workers) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cols = next((c for c in pool.map(_search_chunk, chunks) if c is not None), None)
+            hits = [c for c in pool.map(_search_chunk, chunks) if c is not None]
+        # each worker's hit has its smallest column 0; compare highest digit first
+        cols = min(hits, key=lambda c: c[0][::-1], default=None)
     if cols is None:
         return None
     rows = [
@@ -441,7 +445,7 @@ def exhaustive_code_search(
 ) -> LinearCode | None:
     """First [n, n-(b1+b2)] code over GF(q), in systematic [P | I] scan
     order, that recovers every two-burst pattern; None when none exists."""
-    if b1 < 1 or b2 < 1:
+    if _json_int(b1, "b1") < 1 or _json_int(b2, "b2") < 1:
         raise BadParameters(f"need b1, b2 >= 1, got b1={b1}, b2={b2}")
     family = functools.partial(_two_bursts, n, b1, b2)
     fields = {"family": "two-burst", "n": n, "b1": b1, "b2": b2}
@@ -454,7 +458,7 @@ def exhaustive_burst_random_search(
     """First [n, n-(b+e)] code over GF(q), in systematic [P | I] scan order,
     that recovers every burst <= b plus <= e random erasures; None when none
     exists."""
-    if b < 1 or e < 0:
+    if _json_int(b, "b") < 1 or _json_int(e, "e") < 0:
         raise BadParameters(f"need b >= 1 and e >= 0, got b={b}, e={e}")
     family = functools.partial(_burst_plus_random, n, b, e)
     fields = {"family": "burst-random", "n": n, "b": b, "e": e}

@@ -72,10 +72,6 @@ class ErasurePattern:
             raise BadParameters(f"support {sup} out of range for n={self.n}")
         object.__setattr__(self, "support", sup)
 
-    @property
-    def weight(self) -> int:
-        return len(self.support)
-
     def mask(self) -> int:
         m = 0
         for i in self.support:
@@ -181,7 +177,8 @@ def _unions(n: int, xs, ys) -> list[tuple[int, ...]]:
 
 
 def _two_bursts(n: int, b1: int, b2: int) -> list[tuple[int, ...]]:
-    if n < 1 or b1 < 1 or b2 < 1 or b1 > n or b2 > n:
+    if (_json_int(n, "n") < 1 or _json_int(b1, "b1") < 1 or _json_int(b2, "b2") < 1
+            or b1 > n or b2 > n):
         raise BadParameters(f"bad burst enumeration parameters n={n}, b1={b1}, b2={b2}")
     if n > _ENUM_N_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
@@ -198,7 +195,8 @@ def enumerate_b1b2_patterns(n: int, b1: int, b2: int) -> list[ErasurePattern]:
 
 
 def _burst_plus_random(n: int, b: int, e: int) -> list[tuple[int, ...]]:
-    if n < 1 or b < 1 or b > n or e < 0:
+    if (_json_int(n, "n") < 1 or _json_int(b, "b") < 1 or b > n
+            or _json_int(e, "e") < 0):
         raise BadParameters(f"bad parameters n={n}, b={b}, e={e}")
     if n > _ENUM_N_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
@@ -292,9 +290,9 @@ def check_wraparound(code: LinearCode, b1: int, b2: int) -> VerificationReport:
     Only meaningful (and only allowed) when b1 divides n.
     """
     n = code.n
-    if b1 >= 1 and n % b1 != 0:
+    if _json_int(b1, "b1") >= 1 and n % b1 != 0:
         raise DivisibilityViolation(f"b1={b1} must divide n={n} for wrap-around bursts")
-    if n < 1 or b1 < 1 or b2 < 1 or b2 > b1:
+    if n < 1 or b1 < 1 or _json_int(b2, "b2") < 1 or b2 > b1:
         raise BadParameters(f"bad parameters n={n}, b1={b1}, b2={b2}")
     if n > _ENUM_N_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")

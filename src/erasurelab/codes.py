@@ -143,7 +143,7 @@ def mds_code(n: int, r: int, q: int | None = None) -> LinearCode:
     Evaluation points are the first n field elements in canonical encoding
     order, over the smallest prime power >= n unless q overrides it.
     """
-    if not 1 <= r < n:
+    if not 1 <= _json_int(r, "r") < _json_int(n, "n"):
         raise BadParameters(f"need 1 <= r < n, got r={r}, n={n}")
     f = _field_of_size(n, q, f"q={q} < n={n}: evaluation points collide")
     h = Matrix(f, [[f.pow(j, i) for j in range(n)] for i in range(r)])
@@ -174,11 +174,11 @@ def construction_one(n: int, b1: int, b2: int, q: int | None = None) -> LinearCo
     field's primitive element; the matrix is then truncated to n columns.
     Requires b2 | b1 and n >= b1 + b2 + 1.
     """
-    if b1 < 1 or b2 < 1 or b2 > b1:
+    if _json_int(b1, "b1") < 1 or _json_int(b2, "b2") < 1 or b2 > b1:
         raise BadParameters(f"need b1 >= b2 >= 1, got b1={b1}, b2={b2}")
     if b1 % b2 != 0:
         raise DivisibilityViolation(f"b2={b2} must divide b1={b1}")
-    if n < b1 + b2 + 1:
+    if _json_int(n, "n") < b1 + b2 + 1:
         raise LengthTooSmall(f"need n >= b1+b2+1 = {b1 + b2 + 1}, got {n}")
     ell = -(-n // b1)  # ceil(n / b1)
     f = _field_of_size(ell, q, f"q={q} too small: need an element of order > {ell - 2}")

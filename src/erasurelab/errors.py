@@ -24,15 +24,11 @@ class TooLarge(ErasureLabError):
 
 
 class DivisionByZero(ErasureLabError):
-    """Division by, or inversion of, the zero element."""
+    """Inversion of, or a negative power of, the zero element."""
 
 
 class FieldMismatch(ErasureLabError):
     """Two field-carrying objects over different fields were combined."""
-
-
-class ZeroElement(ErasureLabError):
-    """The zero element was passed where a nonzero element is required."""
 
 
 class InvalidPolynomial(ErasureLabError):

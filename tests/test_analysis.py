@@ -13,6 +13,7 @@ from erasurelab.algebra import (
     field_make,
     mat_rank,
     poly_divides,
+    smallest_prime_power_at_least,
     x_pow_n_minus_1,
 )
 from erasurelab import analysis
@@ -32,7 +33,9 @@ from erasurelab.analysis import (
 from erasurelab.channel import (
     ChannelParams,
     can_recover,
+    check_wraparound,
     enumerate_b1b2_patterns,
+    enumerate_burst_plus_random,
     is_b1b2_code,
 )
 from erasurelab.codes import LinearCode, construction_one, cyclic_from_h, mds_code
@@ -424,6 +427,24 @@ def test_parallel_search_matches_serial():
     assert parallel.h.data == serial.h.data
 
 
+def test_serial_search_never_reaches_the_worker_entry_point(monkeypatch):
+    def broken(args):
+        raise AssertionError("a one-worker search called _search_chunk")
+
+    monkeypatch.setattr(analysis, "_search_chunk", broken)
+    found = exhaustive_code_search(6, 2, 1, 4, workers=1)
+    assert found.h.data == (
+        (1, 2, 1, 1, 0, 0),
+        (0, 1, 2, 0, 1, 0),
+        (1, 1, 1, 0, 0, 1),
+    )
+    assert exhaustive_burst_random_search(4, 2, 0, 2, workers=1).h.data == (
+        (1, 0, 1, 0),
+        (0, 1, 0, 1),
+    )
+    assert exhaustive_code_search(5, 2, 1, 2, workers=1) is None
+
+
 def test_search_family_is_enumerated_once_in_the_caller(monkeypatch):
     calls = []
     enumerate_family = analysis._two_bursts
@@ -437,6 +458,39 @@ def test_search_family_is_enumerated_once_in_the_caller(monkeypatch):
     assert calls == [(5, 2, 1)]  # workers scan the groups prepared here
     assert found.h.data == exhaustive_code_search(5, 2, 1, 3).h.data
 
+
+@pytest.mark.parametrize("call", [
+    "field_make(4.0)",
+    "field_make('4')",
+    "mds_code(7.0, 3)",
+    "mds_code(7, True)",
+    "construction_one(8.0, 3, 1)",
+    "construction_one(8, 3.0, 1)",
+    "cyclic_from_h(7.0, 2, (1, 0, 1, 1, 1))",
+    "cyclic_from_h(7, 2.0, (1, 0, 1, 1, 1))",
+    "x_pow_n_minus_1(field_make(2), 3.0)",
+    "exhaustive_code_search(5, 2.0, 1, 3)",
+    "exhaustive_code_search(5.0, 2, 1, 3)",
+    "exhaustive_code_search(5, 2, 1, 3.0)",
+    "exhaustive_code_search(5, 2, 1, 3, workers=2.0)",
+    "exhaustive_burst_random_search(6, 1, True, 3)",
+    "enumerate_b1b2_patterns(5, 2.0, 1)",
+    "enumerate_burst_plus_random(5, 2, 1.0)",
+    "is_b1b2_code(mds_code(8, 3), 2.0, 1)",
+    "check_wraparound(mds_code(8, 3), 2, 1.0)",
+    "mds_subblock_check(mds_code(8, 3), 2.0, 1)",
+    "resolve_workers('2')",
+    "smallest_prime_power_at_least(3.5)",
+    "sparsity_minimum(8.0, 3)",
+    "sparse_field_lower_bound(8.0, 3)",
+    "random_field_lower_bound(7, 2, 2.5)",
+])
+def test_non_integer_sizes_raise_bad_parameters(call):
+    """Floats, strings and bools are refused, not truncated or compared;
+    GF(4) is built first so that 4.0 cannot be served from its cache."""
+    field_make(4)
+    with pytest.raises(BadParameters, match="must be an integer"):
+        eval(call)
 
 def test_search_guards():
     with pytest.raises(BadParameters):

@@ -54,7 +54,7 @@ def test_channel_params_reject_bools_and_non_integers(values):
 def test_erasure_pattern_canonicalization():
     p = ErasurePattern(6, (4, 1, 2))
     assert p.support == (1, 2, 4)
-    assert p.weight == 3
+    assert len(p.support) == 3
     assert p.mask() == 0b010110
     with pytest.raises(BadParameters):
         ErasurePattern(4, (1, 1))
@@ -119,7 +119,7 @@ def test_admissible_windows_sorted_and_include_empty():
 def test_admissibility_downward_closed():
     cp = ChannelParams(1, 3, 2, 7)
     for pat in enumerate_admissible_windows(cp):
-        for drop in range(pat.weight):
+        for drop in range(len(pat.support)):
             sub = pat.support[:drop] + pat.support[drop + 1 :]
             assert is_window_admissible(ErasurePattern(7, sub), cp)
 
@@ -148,7 +148,7 @@ def test_two_burst_patterns_never_empty_and_cover_singles():
     for i in range(8):
         assert (i,) in sups
     # max weight is b1 + b2
-    assert max(p.weight for p in pats) == 4
+    assert max(len(p.support) for p in pats) == 4
 
 
 def test_burst_plus_random_enumeration_matches_reference():

@@ -465,10 +465,11 @@ def test_parallel_searches_match_reference(family, n, p1, p2, q):
 
 
 def test_parallel_search_with_its_hit_in_a_later_chunk():
-    """Two workers cut GF(3)'s 122 normalized r = 5 columns into 2 chunks of
-    61; the first H for burst 1 + 4 random at n = 6 starts with the
-    candidate at position 81, in the second chunk, so the first chunk
-    finishes empty."""
+    """Two workers interleave GF(3)'s 122 normalized r = 5 columns, worker i
+    taking positions i, i + 2, ...; the first H for burst 1 + 4 random at
+    n = 6 starts with the candidate at position 81, which worker 1 scans,
+    while worker 0 hits later, at position 82, so the hit with the smaller
+    column 0 wins over the one from the lower worker."""
     found, ref = _search_outcomes("burst-random", 6, 1, 4, 3, workers=2)
     assert found == ref and found[1] is not None
     col0 = sum(row[0] * 3**i for i, row in enumerate(found[1].data))

@@ -3,10 +3,15 @@ uses, every module-level private function is referenced somewhere in the
 package and reads every parameter it takes, module level binds only int and
 str constants, and no function rebinds module state through ``global``.
 ``__init__.py`` is exempt from the import check because its imports are the
-public re-exports. Every function the benchmark tracer wraps by name exists
-in the package."""
+public re-exports. Every method or property defined on a class is read as an
+attribute somewhere in the package, and importing the package and its CLI
+loads no process-pool machinery. Every function the benchmark tracer wraps by
+name exists in the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import erasurelab
@@ -80,6 +85,42 @@ def test_private_functions_read_every_parameter():
             }
             unread += [f"{name}: {fn.name}({p})" for p in params if p not in read]
     assert unread == []
+
+
+def test_every_method_is_read_somewhere():
+    """A method or property nothing in the package reads is dead API; public
+    helpers the package never calls belong in the tests that use them."""
+    modules = _modules()
+    read = {
+        node.attr
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    dead = [
+        f"{name}: {cls.name}.{fn.name}"
+        for name, tree in modules.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in read
+    ]
+    assert dead == []
+
+
+def test_import_loads_no_process_pool():
+    """Only a search with more than one worker imports the pool, so a fresh
+    import of the package and its CLI leaves it out."""
+    probe = (
+        "import sys, erasurelab, erasurelab.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_global_statements():
