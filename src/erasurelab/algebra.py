@@ -130,7 +130,7 @@ class Field:
     """
 
     __slots__ = (
-        "q", "p", "m", "modulus", "_exp", "_log", "_gen", "_zech", "_mt", "_at", "_st",
+        "q", "p", "m", "modulus", "_exp", "_log", "_gen", "_zech", "_mt", "_at",
         "submul", "scale", "dot",
     )
 
@@ -226,17 +226,15 @@ class Field:
             # adding 1 only changes the lowest base-p digit
             plus_one = [x + 1 if x % p != p - 1 else x + 1 - p for x in exp[: q - 1]]
             self._zech = [log[y] if y else -1 for y in plus_one]
-        # Flat q x q product, sum and difference tables behind the row
-        # primitives; above _TABLE_CAP they would not fit.
-        self._mt = self._at = self._st = None
+        # Flat q x q product and sum tables behind the row primitives;
+        # above _TABLE_CAP they would not fit.
+        self._mt = self._at = None
         if q <= _TABLE_CAP:
             logs = log[1:]
             self._mt = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
             spread = [_spread(x, p, m) for x in range(q)]
             back = _lanes_mod_p(p, m)
             self._at = [[back[a + b] for b in spread] for a in spread]
-            negs = [self.neg(b) for b in range(q)]
-            self._st = [[row[b] for b in negs] for row in self._at]
         rows = _table_rows if q <= _TABLE_CAP else _log_rows
         self.submul, self.scale, self.dot = rows(self)
 
@@ -339,11 +337,13 @@ class Field:
 
 def _table_rows(f: Field):
     """The row primitives on the flat q x q tables."""
-    mt, at, st = f._mt, f._at, f._st
+    mt, at = f._mt, f._at
+    # the product row of -c, so that v - c*u is v + (-c)*u
+    neg_rows = [mt[f.neg(c)] for c in range(f.q)]
 
     def submul(v, c: int, u) -> list[int]:
-        mc = mt[c]
-        return [st[a][mc[x]] for a, x in zip(v, u)]
+        mc = neg_rows[c]
+        return [at[a][mc[x]] for a, x in zip(v, u)]
 
     def scale(c: int, u) -> list[int]:
         mc = mt[c]

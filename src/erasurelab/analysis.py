@@ -186,15 +186,6 @@ class SparsityReport:
     floor: int
     meets_floor: bool
 
-    def to_json(self) -> dict:
-        return {
-            "nonzeros": self.nonzeros,
-            "weight_two_columns": list(self.weight_two_columns),
-            "floor": self.floor,
-            "meets_floor": self.meets_floor,
-            "H": self.code.h.to_json(),
-        }
-
 
 def sparsify_construction_one(code: LinearCode) -> SparsityReport:
     """Subtract the last parity row from the first, turning a b2=1 instance
@@ -322,23 +313,17 @@ def resolve_workers(requested: int | None = None) -> int:
 def _prep_groups(n: int, r: int, supports):
     """Bucket pattern supports by their largest information-column index.
 
-    Returns None when some pattern is unsatisfiable by any [P | I] matrix
-    (more erased columns than rows survive the identity part), which decides
-    the whole search. Patterns entirely inside the identity block are always
-    recoverable and dropped.
+    Patterns entirely inside the identity block are always recoverable and
+    dropped.
     """
     k = n - r
     groups: list[list[tuple]] = [[] for _ in range(k)]
     for sup in supports:
-        if len(sup) > r:
-            return None
         p_cols = tuple(j for j in sup if j < k)
         if not p_cols:
             continue
         id_rows = {j - k for j in sup if j >= k}
         kept = tuple(i for i in range(r) if i not in id_rows)
-        if len(p_cols) > len(kept):
-            return None
         groups[max(p_cols)].append((p_cols, kept))
     for grp in groups:
         grp.sort(key=lambda item: (len(item[0]), item))
@@ -416,8 +401,6 @@ def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
         raise TooLarge(f"q^(r*k) = {count} candidates exceed the search cap")
     field = field_make(q)  # validates q, including NotPrimePower
     groups = _prep_groups(n, r, family())
-    if groups is None:
-        return None
     if workers < 2:
         cols = _dfs(field, r, groups, 0, [], _normalized(q, r))
     else:

@@ -81,10 +81,6 @@ class ErasurePattern:
     def to_json(self) -> dict:
         return {"n": self.n, "support": list(self.support)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "ErasurePattern":
-        return ErasurePattern(obj["n"], tuple(obj["support"]))
-
 
 @dataclass(frozen=True)
 class VerificationReport:

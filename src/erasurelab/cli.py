@@ -91,9 +91,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _meta(command: str, args: argparse.Namespace, field=None, **extra) -> dict:
-    config = {
-        k: v for k, v in sorted(vars(args).items()) if k != "func" and not callable(v)
-    }
+    config = {k: v for k, v in sorted(vars(args).items()) if not callable(v)}
     meta = {
         "tool": "erasurelab",
         "version": __version__,
@@ -365,10 +363,7 @@ def main(argv=None) -> int:
     fmt = args.format
     try:
         payload, rc = args.func(args)
-    except ErasureLabError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, fmt)
-        return 2
-    except OSError as exc:
+    except (ErasureLabError, OSError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, fmt)
         return 2
     _emit(payload, fmt)

@@ -183,7 +183,6 @@ def test_flat_tables_match_element_methods(q):
     for a, b in pairs:
         assert f._mt[a][b] == f.mul(a, b)
         assert f._at[a][b] == f.add(a, b)
-        assert f._st[a][b] == f.sub(a, b)
 
 
 @pytest.mark.parametrize("q", [2, 9, 11, 243, 256, 257, 625, 1024, 65536])

@@ -459,6 +459,36 @@ def test_search_family_is_enumerated_once_in_the_caller(monkeypatch):
     assert found.h.data == exhaustive_code_search(5, 2, 1, 3).h.data
 
 
+def _search_families(n):
+    """Every two-burst and burst-random family the searches build at length n
+    (e <= 3), with its row count r."""
+    for b1, b2 in itertools.product(range(1, n + 1), repeat=2):
+        yield b1 + b2, analysis._two_bursts(n, b1, b2)
+    for b, e in itertools.product(range(1, n + 1), range(4)):
+        yield b + e, analysis._burst_plus_random(n, b, e)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_search_supports_fit_in_the_parity_rows(n):
+    """No support is longer than r, so every support with an information
+    column keeps at least as many rows as it has information columns, and
+    _prep_groups files each one under its largest information column."""
+    for r, supports in _search_families(n):
+        assert all(len(sup) <= r for sup in supports), r
+        k = n - r
+        if k < 1:
+            continue
+        groups = analysis._prep_groups(n, r, supports)
+        expected = [[] for _ in range(k)]
+        for sup in supports:
+            p_cols = tuple(j for j in sup if j < k)
+            if p_cols:
+                kept = tuple(i for i in range(r) if i + k not in sup)
+                assert len(p_cols) <= len(kept)
+                expected[max(p_cols)].append((p_cols, kept))
+        assert [sorted(g) for g in groups] == [sorted(g) for g in expected]
+
+
 @pytest.mark.parametrize("call", [
     "field_make(4.0)",
     "field_make('4')",

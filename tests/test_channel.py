@@ -62,7 +62,7 @@ def test_erasure_pattern_canonicalization():
         ErasurePattern(4, (4,))
     with pytest.raises(BadParameters):
         ErasurePattern(0, ())
-    rt = ErasurePattern.from_json(p.to_json())
+    rt = ErasurePattern(**p.to_json())
     assert rt == p
 
 
@@ -80,11 +80,12 @@ def test_erasure_pattern_rejects_non_integers(n, support):
 
 
 def test_erasure_pattern_from_json_rejects_non_integers():
+    """A pattern rebuilt from its to_json dict goes through the same checks."""
     with pytest.raises(BadParameters):
-        ErasurePattern.from_json({"n": 5.7, "support": [2.2]})
+        ErasurePattern(**{"n": 5.7, "support": [2.2]})
     with pytest.raises(BadParameters):
-        ErasurePattern.from_json({"n": 5, "support": [2.0]})
-    assert ErasurePattern.from_json({"n": 5, "support": [3, 1]}).support == (1, 3)
+        ErasurePattern(**{"n": 5, "support": [2.0]})
+    assert ErasurePattern(**{"n": 5, "support": [3, 1]}).support == (1, 3)
 
 
 def _oracle_admissible(sup, a, b, e, w):

@@ -8,8 +8,38 @@ import random
 
 import pytest
 
+from erasurelab.algebra import (
+    Poly,
+    field_make,
+    poly_divmod,
+    solve_for_columns,
+    systematic_form,
+    x_pow_n_minus_1,
+)
+from erasurelab.analysis import mds_subblock_check
+from erasurelab.channel import (
+    ChannelParams,
+    ErasurePattern,
+    can_recover,
+    check_wraparound,
+    enumerate_admissible_windows,
+    enumerate_b1b2_patterns,
+)
 from erasurelab.cli import main
-from erasurelab.codes import construction_one, cyclic_from_h, mds_code
+from erasurelab.codes import (
+    LinearCode,
+    construction_one,
+    cyclic_from_h,
+    mds_code,
+    min_distance,
+)
+from erasurelab.errors import (
+    BadParameters,
+    DimensionMismatch,
+    DivisionByZero,
+    LengthMismatch,
+    TooLarge,
+)
 
 H831 = [
     [1, 0, 0, 1, 0, 0, 1, 0],
@@ -339,6 +369,26 @@ def test_table_format_is_aligned(capsys):
         assert line[width : width + 2] == "  "
 
 
+@pytest.mark.parametrize("fmt, b2, rc, lines", [
+    ("table", 1, 0, ["result.patterns_checked  97", "result.verdict           true",
+                     "meta.config.wraparound   false"]),
+    ("table", 2, 1, ["result.patterns_checked  5", "result.verdict           false",
+                     "result.witness.support   0 1 2 3 4"]),
+    ("csv", 1, 0, ["result.verdict,true", "result.witness,", "result.patterns_checked,97"]),
+    ("csv", 2, 1, ["result.verdict,false", "result.witness.support,0 1 2 3 4",
+                   "result.witness.n,8", "result.patterns_checked,5"]),
+])
+def test_verify_verdict_golden_lines(capsys, tmp_path, fmt, b2, rc, lines):
+    """Booleans print as true/false and a missing witness as an empty value."""
+    path = str(tmp_path / "c831.json")
+    main(["construct", "--scheme", "c1", "--n", "8", "--b1", "3", "--b2", "1", "--out", path])
+    capsys.readouterr()
+    assert main(["verify", "--code", path, "--b1", "3", "--b2", str(b2), "--format", fmt]) == rc
+    out = capsys.readouterr().out.splitlines()
+    for line in lines:
+        assert line in out
+
+
 def test_version_flag(capsys):
     rc = main(["--version"])
     assert rc == 0
@@ -461,3 +511,48 @@ def test_small_integer_flags_never_escape_main(capsys, tmp_path, monkeypatch):
             assert json.loads(out)["error"]["type"], argv
         count += 1
     assert count == 3856
+
+
+# ---------------------------------------------------------------------------
+# guards no other test reaches
+# ---------------------------------------------------------------------------
+
+
+def _edited_cyclic_file():
+    """A cyclic code file whose stored H no longer matches its provenance."""
+    doc = cyclic_from_h(7, 2, (1, 0, 1, 1, 1)).to_json()
+    doc["H"]["data"][0][0] ^= 1
+    return doc
+
+
+@pytest.mark.parametrize("call, error", [
+    ("solve_for_columns(construction_one(8, 3, 1).h, (0, 0), [0, 0, 0, 0])", DimensionMismatch),
+    ("solve_for_columns(construction_one(8, 3, 1).h, (0, 1), [0, 0])", DimensionMismatch),
+    ("systematic_form(construction_one(8, 3, 1).h, side='middle')", BadParameters),
+    ("x_pow_n_minus_1(field_make(3), 0)", BadParameters),
+    ("poly_divmod(Poly(field_make(3), (1, 1)), Poly(field_make(3), ()))", DivisionByZero),
+    ("construction_one(8, 3, 1).h @ construction_one(8, 3, 1).h", DimensionMismatch),
+    ("can_recover(construction_one(8, 3, 1), ErasurePattern(7, (0,)))", LengthMismatch),
+    ("enumerate_admissible_windows(ChannelParams(0, 1, 1, 21))", TooLarge),
+    ("enumerate_b1b2_patterns(21, 1, 1)", TooLarge),
+    ("check_wraparound(construction_one(21, 3, 1), 3, 1)", TooLarge),
+    ("mds_subblock_check(mds_code(41, 11), 1, 10)", TooLarge),
+    ("min_distance(mds_code(26, 2))", TooLarge),
+    ("LinearCode.from_json(_edited_cyclic_file())", BadParameters),
+    (["construct", "--scheme", "cyclic", "--n", "7", "--q", "2", "--h", "1,x"], "BadParameters"),
+    (["verify", "--code", "CODE", "--b1", "2", "--b2", "1"], "BadParameters"),
+])
+def test_guards_raise_typed_errors(capsys, tmp_path, call, error):
+    """Library calls raise the typed error; CLI runs (argv lists, with CODE a
+    file holding only "{") exit 2 with that error as JSON and no traceback."""
+    if isinstance(call, str):
+        with pytest.raises(error):
+            eval(call)
+        return
+    path = tmp_path / "code.json"
+    path.write_text("{")
+    rc = main([str(path) if a == "CODE" else a for a in call] + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert json.loads(captured.out)["error"]["type"] == error
+    assert "Traceback" not in captured.out + captured.err
