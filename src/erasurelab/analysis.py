@@ -401,6 +401,9 @@ def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
         raise TooLarge(f"q^(r*k) = {count} candidates exceed the search cap")
     field = field_make(q)  # validates q, including NotPrimePower
     groups = _prep_groups(n, r, family())
+    # more workers than CPUs cannot run at once, and more than the column-0
+    # candidates (1 + (q^r - 1)/(q - 1) of them) would scan nothing
+    workers = min(workers, os.cpu_count() or 1, 1 + (q**r - 1) // (q - 1))
     if workers < 2:
         cols = _dfs(field, r, groups, 0, [], _normalized(q, r))
     else:

@@ -73,10 +73,7 @@ class ErasurePattern:
         object.__setattr__(self, "support", sup)
 
     def mask(self) -> int:
-        m = 0
-        for i in self.support:
-            m |= 1 << i
-        return m
+        return _mask(self.support)
 
     def to_json(self) -> dict:
         return {"n": self.n, "support": list(self.support)}
@@ -103,9 +100,13 @@ class VerificationReport:
         }
 
 
+def _mask(indices) -> int:
+    return sum(1 << i for i in set(indices))
+
+
 @lru_cache(maxsize=None)
 def _burst_masks(w: int, b: int) -> tuple[int, ...]:
-    return tuple(((1 << b) - 1) << s for s in range(w - b + 1))
+    return tuple(_bursts(w, [b]))
 
 
 def _mask_admissible(mask: int, params: ChannelParams) -> bool:
@@ -203,7 +204,7 @@ def _burst_plus_random(n: int, b: int, e: int) -> list[tuple[int, ...]]:
     if approx > 1 << 22:
         raise TooLarge(f"~{approx} raw patterns exceed the enumeration cap")
     extras = [
-        sum(1 << i for i in extra)
+        _mask(extra)
         for j in range(min(e, n) + 1)
         for extra in itertools.combinations(range(n), j)
     ]

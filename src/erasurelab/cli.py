@@ -111,17 +111,10 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise BadParameters(f"missing required flags: {flags}")
 
 
-def _parse_coeffs(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise BadParameters(f"bad coefficient list {text!r}") from exc
-
-
 def _load_code(path: str) -> LinearCode:
     try:
         doc = json.loads(Path(path).read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # a file nested too deep to parse
         raise BadParameters(f"malformed code file {path}: {exc}") from exc
     try:
         return LinearCode.from_json(doc)
@@ -131,6 +124,21 @@ def _load_code(path: str) -> LinearCode:
 
 def _write_code(code: LinearCode, path: str) -> None:
     Path(path).write_text(json.dumps(code.to_json(), indent=2, sort_keys=True) + "\n")
+
+
+def _streaming_params(args: argparse.Namespace) -> StreamingParams:
+    _require(args, "a", "b", "e", "w")
+    tau = args.tau if args.tau is not None else args.w - 1
+    return StreamingParams(ChannelParams(args.a, args.b, args.e, args.w), tau)
+
+
+def _cyclic_code(args: argparse.Namespace) -> LinearCode:
+    _require(args, "n", "q", "h")
+    try:
+        coeffs = tuple(int(x) for x in args.h.split(","))
+    except ValueError as exc:
+        raise BadParameters(f"bad coefficient list {args.h!r}") from exc
+    return cyclic_from_h(args.n, args.q, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +158,7 @@ def _cmd_construct(args) -> tuple[dict, int]:
         _require(args, "n", "r")
         code = mds_code(args.n, args.r, q=args.q)
     else:  # cyclic
-        _require(args, "n", "q", "h")
-        code = cyclic_from_h(args.n, args.q, _parse_coeffs(args.h))
+        code = _cyclic_code(args)
     if args.out:
         _write_code(code, args.out)
     return {"meta": _meta("construct", args, code.field), "result": code.to_json()}, 0
@@ -164,10 +171,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
     if streaming_mode == burst_mode:
         raise BadParameters("give either --a/--b/--e/--w (streaming) or --b1/--b2")
     if streaming_mode:
-        _require(args, "a", "b", "e", "w")
-        tau = args.tau if args.tau is not None else args.w - 1
-        params = StreamingParams(ChannelParams(args.a, args.b, args.e, args.w), tau)
-        report = verify_streaming_code(code, params)
+        report = verify_streaming_code(code, _streaming_params(args))
     else:
         _require(args, "b1", "b2")
         if args.wraparound:
@@ -185,8 +189,7 @@ def _cmd_analyze_rate(args) -> tuple[dict, int]:
 
 
 def _cmd_analyze_cyclic(args) -> tuple[dict, int]:
-    _require(args, "n", "q", "h")
-    code = cyclic_from_h(args.n, args.q, _parse_coeffs(args.h))
+    code = _cyclic_code(args)
     report = cyclic_report(code)
     payload = {"meta": _meta("analyze cyclic", args, code.field), "result": report.to_json()}
     return payload, 0
@@ -238,9 +241,7 @@ def _cmd_search(args) -> tuple[dict, int]:
 
 def _cmd_simulate(args) -> tuple[dict, int]:
     code = _load_code(args.code)
-    _require(args, "a", "b", "e", "w")
-    tau = args.tau if args.tau is not None else args.w - 1
-    params = StreamingParams(ChannelParams(args.a, args.b, args.e, args.w), tau)
+    params = _streaming_params(args)
     if args.source == "periodic":
         _require(args, "periods")
         source = PeriodicSource(args.periods)

@@ -89,10 +89,9 @@ class LinearCode:
         # checked before a cyclic rebuild, whose cost grows with the declared n
         if (n, k) != (h.ncols, h.ncols - h.nrows):
             raise BadParameters("declared n/k do not match the parity-check matrix")
-        if prov.get("construction") == "cyclic":
-            code = cyclic_from_h(n, h.field.q, prov["h"])
-        else:
-            code = LinearCode(h, dict(prov))
+        if prov.get("construction") != "cyclic":
+            return LinearCode(h, dict(prov))
+        code = cyclic_from_h(n, h.field.q, prov["h"])
         if code.h != h:
             raise BadParameters("stored matrix is not the one this provenance rebuilds")
         return code
@@ -241,7 +240,7 @@ def cyclic_from_h(n: int, q: int, h_coeffs) -> CyclicCode:
     f = field_make(q)
     h = Poly(f, tuple(h_coeffs))
     k = h.degree
-    if k < 1 or k >= n:
+    if k < 1 or k >= _json_int(n, "n"):
         raise BadReciprocal(f"need 0 < deg h < n, got deg {k}, n={n}")
     if h.coeffs[0] == 0:
         raise BadReciprocal("constant coefficient must be nonzero")

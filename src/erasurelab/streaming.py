@@ -21,6 +21,7 @@ from .channel import (
     VerificationReport,
     _admissible_supports,
     _decoder,
+    _mask,
     _mask_admissible,
     _verify_family,
 )
@@ -218,14 +219,11 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
 # ---------------------------------------------------------------------------
 
 
-def _count_inadmissible_windows(mask: int, length: int, params: ChannelParams) -> int:
-    w = params.w
-    if length < w:
-        # shorter than one window: judge the whole prefix padded with no losses
-        return 0 if _mask_admissible(mask, params) else 1
+def _count_inadmissible_windows(loss, length: int, params: ChannelParams) -> int:
+    mask, w = _mask(loss), params.w
     wfull = (1 << w) - 1
     bad = 0
-    for s in range(length - w + 1):
+    for s in range(max(length - w, 0) + 1):
         wm = (mask >> s) & wfull
         if wm and not _mask_admissible(wm, params):
             bad += 1
@@ -234,12 +232,11 @@ def _count_inadmissible_windows(mask: int, length: int, params: ChannelParams) -
 
 def is_stream_admissible(loss, length: int, params: ChannelParams) -> bool:
     """True iff every length-w window of the loss sequence is admissible."""
-    mask = 0
+    loss = tuple(loss)
     for i in loss:
         if not 0 <= _json_int(i, "loss index") < length:
             raise BadParameters(f"loss index {i} outside the stream [0, {length})")
-        mask |= 1 << i
-    return _count_inadmissible_windows(mask, length, params) == 0
+    return _count_inadmissible_windows(loss, length, params) == 0
 
 
 def periodic_pattern(params: ChannelParams, periods: int) -> tuple[int, ...]:
@@ -374,10 +371,7 @@ def simulate(code: LinearCode, params: StreamingParams, source, seed: int) -> di
     for sent, got in zip(msgs, trace.messages):
         if got is not None and tuple(sent) != got:
             raise RuntimeError("decoder returned a wrong message; this is a bug")
-    mask = 0
-    for i in loss:
-        mask |= 1 << i
-    bad_windows = _count_inadmissible_windows(mask, slots, ch)
+    bad_windows = _count_inadmissible_windows(loss, slots, ch)
     return {
         "slots": slots,
         "admissible": bad_windows == 0,

@@ -221,6 +221,14 @@ def test_sparsify_provenance_guards():
             sparsify_construction_one(LinearCode.from_json(obj))
 
 
+def test_sparsify_rejects_a_left_block_that_does_not_reduce():
+    obj = construction_one(8, 3, 1).to_json()
+    obj["H"]["data"][1][0] = 1  # row 1 of the left block becomes (1, 1, 0, 0)
+    code = LinearCode.from_json(obj)  # H keeps full rank
+    with pytest.raises(StructureViolation, match="identity"):
+        sparsify_construction_one(code)
+
+
 @pytest.mark.parametrize("b1", [7, 0, "x", None, True, 3.0])
 def test_sparsify_rejects_edited_b1(b1):
     obj = construction_one(8, 3, 1).to_json()
@@ -457,6 +465,35 @@ def test_search_family_is_enumerated_once_in_the_caller(monkeypatch):
     found = exhaustive_code_search(5, 2, 1, 3, workers=2)
     assert calls == [(5, 2, 1)]  # workers scan the groups prepared here
     assert found.h.data == exhaustive_code_search(5, 2, 1, 3).h.data
+
+
+@pytest.mark.parametrize("cpus, pool", [(4, 4), (64, 14), (None, None)])
+def test_search_pool_is_bounded_by_cpus_and_candidates(monkeypatch, cpus, pool):
+    """Two-burst (5, 2, 1) over GF(3) has r = 3 and so 1 + (3^3 - 1)/2 = 14
+    column-0 candidates. The pool is a fake that runs every chunk in this
+    process and records its size; no CPU count means one worker, no pool."""
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
+    found = exhaustive_code_search(5, 2, 1, 3, workers=10**6)
+    assert sizes == ([] if pool is None else [pool])
+    assert found.h.data == exhaustive_code_search(5, 2, 1, 3, workers=1).h.data
 
 
 def _search_families(n):

@@ -4,7 +4,11 @@ formats, exit codes, and determinism. Each test drives main() directly."""
 import copy
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +181,18 @@ def test_analyze_rate(capsys):
     assert result["prior_bound"] == "4/7"
     assert result["m"] == 2
     assert (result["n"], result["k"]) == (8, 4)
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    """python -m erasurelab goes through cli.run, which exits with main's code."""
+    argv = ["analyze", "rate", "--a", "2", "--b", "3", "--e", "1", "--w", "8"]
+    rc = main(argv)
+    out = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "erasurelab", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (rc, out)
 
 
 def test_analyze_cyclic(capsys):
@@ -474,6 +490,21 @@ def test_malformed_code_files_exit_2_with_a_typed_error(capsys, tmp_path):
         assert "Traceback" not in captured.out + captured.err, (label, doc)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--b1", "1", "--b2", "1"],
+    ["simulate", "--a", "2", "--b", "3", "--e", "2", "--w", "7",
+     "--source", "periodic", "--periods", "3", "--seed", "11"],
+])
+def test_code_file_nested_too_deep_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    rc = main(argv + ["--code", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert json.loads(captured.out)["error"]["type"] == "BadParameters"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def _small_int_argvs(code_path):
     """Every integer flag of construct, verify, analyze and search set to
     each of -1, 0, 1 and 2, in every combination within one command."""
@@ -541,6 +572,7 @@ def _edited_cyclic_file():
     ("LinearCode.from_json(_edited_cyclic_file())", BadParameters),
     (["construct", "--scheme", "cyclic", "--n", "7", "--q", "2", "--h", "1,x"], "BadParameters"),
     (["verify", "--code", "CODE", "--b1", "2", "--b2", "1"], "BadParameters"),
+    ("cyclic_from_h('7', 2, (1, 0, 1, 1, 1))", BadParameters),
 ])
 def test_guards_raise_typed_errors(capsys, tmp_path, call, error):
     """Library calls raise the typed error; CLI runs (argv lists, with CODE a

@@ -56,6 +56,15 @@ def test_construction_one_frozen_8_3_1():
     assert c.provenance["construction"] == "construction_one"
 
 
+def test_codes_are_equal_by_matrix_and_provenance():
+    a, b = construction_one(8, 3, 1), construction_one(8, 3, 1)
+    assert a == b
+    assert hash(a) == hash(b)
+    other = LinearCode(b.h, {**b.provenance, "construction": "handmade"})
+    assert other != a
+    assert a != a.h
+
+
 def test_construction_one_frozen_4_2_1():
     c = construction_one(4, 2, 1)
     assert c.field.q == 2

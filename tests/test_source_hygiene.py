@@ -6,9 +6,11 @@ str constants, and no function rebinds module state through ``global``.
 public re-exports. Every method or property defined on a class is read as an
 attribute somewhere in the package (a static method through its own class),
 and importing the package and its CLI loads no process-pool machinery. Every
-function the benchmark tracer wraps by name exists in the package."""
+function the benchmark tracer wraps by name exists in the package, and so
+does every ``Field`` method it wraps through ``vars(Field)``."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -174,10 +176,31 @@ def test_module_level_binds_only_constants():
     assert found == []
 
 
+def _traced_field_methods():
+    """The names tracing.py wraps on Field: the first item of each entry of
+    the literal tuple walked by the loop that reads ``vars(...)[name]``."""
+    for loop in ast.walk(ast.parse(TRACING.read_text())):
+        if not (isinstance(loop, ast.For) and isinstance(loop.target, ast.Tuple)):
+            continue
+        name = loop.target.elts[0]
+        if any(
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "vars"
+            and isinstance(node.slice, ast.Name)
+            and isinstance(name, ast.Name)
+            and node.slice.id == name.id
+            for node in ast.walk(loop)
+        ):
+            return [entry[0] for entry in ast.literal_eval(loop.iter)]
+    return []
+
+
 def test_traced_functions_exist():
     """perfbench/tracing.py names its spans as (module, function) strings;
     it is read here, not imported, and each name must be a module-level
-    function of that package module."""
+    function of that package module. The Field methods it wraps through
+    ``vars(Field)`` must be functions in Field's class dict."""
     spans = next(
         ast.literal_eval(node.value)
         for node in ast.parse(TRACING.read_text()).body
@@ -191,4 +214,9 @@ def test_traced_functions_exist():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
     missing = [f"{mod}.{fn}" for mod, fn, _ in spans if (mod, fn) not in defined]
-    assert spans and missing == []
+    # an instance attribute or a missing name would break --trace 1
+    methods = _traced_field_methods()
+    field_dict = vars(erasurelab.algebra.Field)
+    missing += [f"Field.{m}" for m in methods if not inspect.isfunction(field_dict.get(m))]
+    assert spans and methods and missing == []
+
