@@ -307,7 +307,9 @@ def resolve_workers(requested: int | None = None) -> int:
         cap = 1
     if requested is None:
         return cap
-    return max(1, min(_json_int(requested, "workers"), cap))
+    if _json_int(requested, "workers") < 1:
+        raise BadParameters(f"need workers >= 1, got {requested}")
+    return min(requested, cap)
 
 
 def _prep_groups(n: int, r: int, supports):
@@ -390,7 +392,8 @@ def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
     k = _json_int(n, "n") - r
     if k < 1:
         raise BadParameters(f"need n > {r} so that k >= 1, got n={n}")
-    _json_int(workers, "workers")
+    if _json_int(workers, "workers") < 1:
+        raise BadParameters(f"need workers >= 1, got {workers}")
     if _json_int(q, "q") < 2:
         field_make(q)  # NotPrimePower, before q's power is read as a count
     rk = r * k

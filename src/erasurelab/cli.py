@@ -278,79 +278,55 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"erasurelab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("construct", parents=[common], help="build a code and print/save it")
-    p.add_argument("--scheme", choices=("c1", "c1bin", "mds", "cyclic"), required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--b1", type=int)
-    p.add_argument("--b2", type=int)
-    p.add_argument("--r", type=int, help="parity rows (mds scheme)")
-    p.add_argument("--q", type=int, help="field size override")
-    p.add_argument("--h", help="comma-separated polynomial coefficients, ascending")
-    p.add_argument("--out", help="write the code file here")
-    p.set_defaults(func=_cmd_construct)
+    # each subcommand flag once; a flag means the same wherever it is taken
+    flags = {
+        "--scheme": dict(choices=("c1", "c1bin", "mds", "cyclic"), required=True),
+        "--code": dict(required=True, help="code file from construct/search"),
+        "--n": dict(type=int),
+        "--a": dict(type=int),
+        "--b": dict(type=int),
+        "--e": dict(type=int),
+        "--w": dict(type=int),
+        "--tau": dict(type=int, help="decoding deadline (default w-1)"),
+        "--b1": dict(type=int),
+        "--b2": dict(type=int),
+        "--r": dict(type=int, help="parity rows (mds scheme)"),
+        "--q": dict(type=int, help="field size"),
+        "--h": dict(help="comma-separated polynomial coefficients, ascending"),
+        "--wraparound": dict(action="store_true", help="let bursts wrap cyclically"),
+        "--workers": dict(type=int, help="parallel workers (capped by ERASURELAB_THREADS)"),
+        "--out": dict(help="write the code file here"),
+        "--seed": dict(type=int, required=True),
+        "--source": dict(choices=("periodic", "ge"), required=True),
+        "--periods": dict(type=int),
+        "--slots": dict(type=int),
+        "--p-gb": dict(type=float, help="good-to-bad transition probability"),
+        "--p-bg": dict(type=float, help="bad-to-good transition probability"),
+        "--p-loss-good": dict(type=float),
+        "--p-loss-bad": dict(type=float),
+    }
 
-    p = sub.add_parser("verify", parents=[common], help="check a code against a pattern family")
-    p.add_argument("--code", required=True, help="code file from construct/search")
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--e", type=int)
-    p.add_argument("--w", type=int)
-    p.add_argument("--tau", type=int, help="decoding deadline (default w-1)")
-    p.add_argument("--b1", type=int)
-    p.add_argument("--b2", type=int)
-    p.add_argument("--wraparound", action="store_true", help="let bursts wrap cyclically")
-    p.set_defaults(func=_cmd_verify)
+    def leaf(subparsers, name: str, func, names: str, **kwargs) -> None:
+        p = subparsers.add_parser(name, parents=[common], **kwargs)
+        for flag in names.split():
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
 
+    leaf(sub, "construct", _cmd_construct, "--scheme --n --b1 --b2 --r --q --h --out",
+         help="build a code and print/save it")
+    leaf(sub, "verify", _cmd_verify, "--code --a --b --e --w --tau --b1 --b2 --wraparound",
+         help="check a code against a pattern family")
     p = sub.add_parser("analyze", help="rate, cyclic, sparsity, and field-size reports")
     asub = p.add_subparsers(dest="kind", required=True)
-    pa = asub.add_parser("rate", parents=[common])
-    pa.add_argument("--a", type=int)
-    pa.add_argument("--b", type=int)
-    pa.add_argument("--e", type=int)
-    pa.add_argument("--w", type=int)
-    pa.set_defaults(func=_cmd_analyze_rate)
-    pa = asub.add_parser("cyclic", parents=[common])
-    pa.add_argument("--n", type=int)
-    pa.add_argument("--q", type=int)
-    pa.add_argument("--h", help="comma-separated polynomial coefficients, ascending")
-    pa.set_defaults(func=_cmd_analyze_cyclic)
-    pa = asub.add_parser("sparsity", parents=[common])
-    pa.add_argument("--n", type=int)
-    pa.add_argument("--b", type=int)
-    pa.set_defaults(func=_cmd_analyze_sparsity)
-    pa = asub.add_parser("fieldbound", parents=[common])
-    pa.add_argument("--n", type=int)
-    pa.add_argument("--b", type=int)
-    pa.add_argument("--e", type=int)
-    pa.set_defaults(func=_cmd_analyze_fieldbound)
-
-    p = sub.add_parser("search", parents=[common], help="exhaustive code search")
-    p.add_argument("--n", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--b1", type=int)
-    p.add_argument("--b2", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--e", type=int)
-    p.add_argument("--workers", type=int, help="parallel workers (capped by ERASURELAB_THREADS)")
-    p.add_argument("--out", help="write the found code file here")
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("simulate", parents=[common], help="stream a code over a loss source")
-    p.add_argument("--code", required=True)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--e", type=int)
-    p.add_argument("--w", type=int)
-    p.add_argument("--tau", type=int)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--source", choices=("periodic", "ge"), required=True)
-    p.add_argument("--periods", type=int)
-    p.add_argument("--slots", type=int)
-    p.add_argument("--p-gb", type=float, help="good-to-bad transition probability")
-    p.add_argument("--p-bg", type=float, help="bad-to-good transition probability")
-    p.add_argument("--p-loss-good", type=float)
-    p.add_argument("--p-loss-bad", type=float)
-    p.set_defaults(func=_cmd_simulate)
+    leaf(asub, "rate", _cmd_analyze_rate, "--a --b --e --w")
+    leaf(asub, "cyclic", _cmd_analyze_cyclic, "--n --q --h")
+    leaf(asub, "sparsity", _cmd_analyze_sparsity, "--n --b")
+    leaf(asub, "fieldbound", _cmd_analyze_fieldbound, "--n --b --e")
+    leaf(sub, "search", _cmd_search, "--n --q --b1 --b2 --b --e --workers --out",
+         help="exhaustive code search")
+    leaf(sub, "simulate", _cmd_simulate, "--code --a --b --e --w --tau --seed --source "
+         "--periods --slots --p-gb --p-bg --p-loss-good --p-loss-bad",
+         help="stream a code over a loss source")
 
     return parser
 

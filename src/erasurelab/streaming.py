@@ -232,6 +232,8 @@ def _count_inadmissible_windows(loss, length: int, params: ChannelParams) -> int
 
 def is_stream_admissible(loss, length: int, params: ChannelParams) -> bool:
     """True iff every length-w window of the loss sequence is admissible."""
+    if _json_int(length, "length") < 0:
+        raise BadParameters(f"need length >= 0, got {length}")
     loss = tuple(loss)
     for i in loss:
         if not 0 <= _json_int(i, "loss index") < length:

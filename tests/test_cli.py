@@ -1,11 +1,13 @@
 """End-to-end command-line tests: every subcommand, all three output
 formats, exit codes, and determinism. Each test drives main() directly."""
 
+import argparse
 import copy
 import itertools
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +22,12 @@ from erasurelab.algebra import (
     systematic_form,
     x_pow_n_minus_1,
 )
-from erasurelab.analysis import mds_subblock_check
+from erasurelab.analysis import (
+    exhaustive_burst_random_search,
+    exhaustive_code_search,
+    mds_subblock_check,
+    resolve_workers,
+)
 from erasurelab.channel import (
     ChannelParams,
     ErasurePattern,
@@ -29,7 +36,7 @@ from erasurelab.channel import (
     enumerate_admissible_windows,
     enumerate_b1b2_patterns,
 )
-from erasurelab.cli import main
+from erasurelab.cli import _build_parser, main
 from erasurelab.codes import (
     LinearCode,
     construction_one,
@@ -44,6 +51,7 @@ from erasurelab.errors import (
     LengthMismatch,
     TooLarge,
 )
+from erasurelab.streaming import is_stream_admissible
 
 H831 = [
     [1, 0, 0, 1, 0, 0, 1, 0],
@@ -417,6 +425,124 @@ def test_unknown_flag_exits_2(capsys):
     assert rc == 2
 
 
+def _subparsers(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# every leaf parser's options in order: (option strings, dest, type, required,
+# choices, default, action class)
+_PARSER_HEAD = [
+    ('-h, --help', 'help', None, False, None, '==SUPPRESS==', '_HelpAction'),
+    ('--format', 'format', None, False, ('json', 'csv', 'table'), 'table', '_StoreAction'),
+]
+
+_LEAF_OPTIONS = {
+    "construct": _PARSER_HEAD + [
+        ('--scheme', 'scheme', None, True, ('c1', 'c1bin', 'mds', 'cyclic'), None, '_StoreAction'),
+        ('--n', 'n', int, False, None, None, '_StoreAction'),
+        ('--b1', 'b1', int, False, None, None, '_StoreAction'),
+        ('--b2', 'b2', int, False, None, None, '_StoreAction'),
+        ('--r', 'r', int, False, None, None, '_StoreAction'),
+        ('--q', 'q', int, False, None, None, '_StoreAction'),
+        ('--h', 'h', None, False, None, None, '_StoreAction'),
+        ('--out', 'out', None, False, None, None, '_StoreAction'),
+    ],
+    "verify": _PARSER_HEAD + [
+        ('--code', 'code', None, True, None, None, '_StoreAction'),
+        ('--a', 'a', int, False, None, None, '_StoreAction'),
+        ('--b', 'b', int, False, None, None, '_StoreAction'),
+        ('--e', 'e', int, False, None, None, '_StoreAction'),
+        ('--w', 'w', int, False, None, None, '_StoreAction'),
+        ('--tau', 'tau', int, False, None, None, '_StoreAction'),
+        ('--b1', 'b1', int, False, None, None, '_StoreAction'),
+        ('--b2', 'b2', int, False, None, None, '_StoreAction'),
+        ('--wraparound', 'wraparound', None, False, None, False, '_StoreTrueAction'),
+    ],
+    "search": _PARSER_HEAD + [
+        ('--n', 'n', int, False, None, None, '_StoreAction'),
+        ('--q', 'q', int, False, None, None, '_StoreAction'),
+        ('--b1', 'b1', int, False, None, None, '_StoreAction'),
+        ('--b2', 'b2', int, False, None, None, '_StoreAction'),
+        ('--b', 'b', int, False, None, None, '_StoreAction'),
+        ('--e', 'e', int, False, None, None, '_StoreAction'),
+        ('--workers', 'workers', int, False, None, None, '_StoreAction'),
+        ('--out', 'out', None, False, None, None, '_StoreAction'),
+    ],
+    "simulate": _PARSER_HEAD + [
+        ('--code', 'code', None, True, None, None, '_StoreAction'),
+        ('--a', 'a', int, False, None, None, '_StoreAction'),
+        ('--b', 'b', int, False, None, None, '_StoreAction'),
+        ('--e', 'e', int, False, None, None, '_StoreAction'),
+        ('--w', 'w', int, False, None, None, '_StoreAction'),
+        ('--tau', 'tau', int, False, None, None, '_StoreAction'),
+        ('--seed', 'seed', int, True, None, None, '_StoreAction'),
+        ('--source', 'source', None, True, ('periodic', 'ge'), None, '_StoreAction'),
+        ('--periods', 'periods', int, False, None, None, '_StoreAction'),
+        ('--slots', 'slots', int, False, None, None, '_StoreAction'),
+        ('--p-gb', 'p_gb', float, False, None, None, '_StoreAction'),
+        ('--p-bg', 'p_bg', float, False, None, None, '_StoreAction'),
+        ('--p-loss-good', 'p_loss_good', float, False, None, None, '_StoreAction'),
+        ('--p-loss-bad', 'p_loss_bad', float, False, None, None, '_StoreAction'),
+    ],
+    "analyze rate": _PARSER_HEAD + [
+        ('--a', 'a', int, False, None, None, '_StoreAction'),
+        ('--b', 'b', int, False, None, None, '_StoreAction'),
+        ('--e', 'e', int, False, None, None, '_StoreAction'),
+        ('--w', 'w', int, False, None, None, '_StoreAction'),
+    ],
+    "analyze cyclic": _PARSER_HEAD + [
+        ('--n', 'n', int, False, None, None, '_StoreAction'),
+        ('--q', 'q', int, False, None, None, '_StoreAction'),
+        ('--h', 'h', None, False, None, None, '_StoreAction'),
+    ],
+    "analyze sparsity": _PARSER_HEAD + [
+        ('--n', 'n', int, False, None, None, '_StoreAction'),
+        ('--b', 'b', int, False, None, None, '_StoreAction'),
+    ],
+    "analyze fieldbound": _PARSER_HEAD + [
+        ('--n', 'n', int, False, None, None, '_StoreAction'),
+        ('--b', 'b', int, False, None, None, '_StoreAction'),
+        ('--e', 'e', int, False, None, None, '_StoreAction'),
+    ],
+}
+
+
+def test_leaf_parsers_keep_their_options():
+    top = _subparsers(_build_parser())
+    leaves = {name: p for name, p in top.items() if name != "analyze"}
+    leaves.update({f"analyze {name}": p for name, p in _subparsers(top["analyze"]).items()})
+    assert set(leaves) == set(_LEAF_OPTIONS)
+    for name, parser in leaves.items():
+        options = [
+            (", ".join(a.option_strings), a.dest, a.type, a.required, a.choices, a.default,
+             type(a).__name__)
+            for a in parser._actions
+        ]
+        assert options == _LEAF_OPTIONS[name], name
+
+
+def test_readme_command_line_examples_exit_0(capsys, tmp_path, monkeypatch):
+    """Every erasurelab line of the README's command-line block runs, in
+    order and in one directory, and exits 0."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ERASURELAB_THREADS", raising=False)
+    commands = set()
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if not argv:
+            continue
+        assert argv[0] == "erasurelab", line
+        rc = main(argv[1:])
+        capsys.readouterr()
+        assert rc == 0, line
+        commands.add(argv[1])
+    assert commands == {"construct", "verify", "analyze", "search", "simulate"}
+
+
 # ---------------------------------------------------------------------------
 # malformed code files
 # ---------------------------------------------------------------------------
@@ -573,6 +699,20 @@ def _edited_cyclic_file():
     (["construct", "--scheme", "cyclic", "--n", "7", "--q", "2", "--h", "1,x"], "BadParameters"),
     (["verify", "--code", "CODE", "--b1", "2", "--b2", "1"], "BadParameters"),
     ("cyclic_from_h('7', 2, (1, 0, 1, 1, 1))", BadParameters),
+    ("is_stream_admissible((), None, ChannelParams(1, 2, 1, 5))", BadParameters),
+    ("is_stream_admissible((), '9', ChannelParams(1, 2, 1, 5))", BadParameters),
+    ("is_stream_admissible((), 3.0, ChannelParams(1, 2, 1, 5))", BadParameters),
+    ("is_stream_admissible((), 9.0, ChannelParams(1, 2, 1, 5))", BadParameters),
+    ("is_stream_admissible((), True, ChannelParams(1, 2, 1, 5))", BadParameters),
+    ("is_stream_admissible((), -1, ChannelParams(1, 2, 1, 5))", BadParameters),
+    ("resolve_workers(0)", BadParameters),
+    ("resolve_workers(-3)", BadParameters),
+    ("exhaustive_code_search(5, 2, 1, 3, workers=0)", BadParameters),
+    ("exhaustive_burst_random_search(6, 2, 1, 3, workers=-7)", BadParameters),
+    (["search", "--n", "5", "--b1", "2", "--b2", "1", "--q", "3", "--workers", "0"],
+     "BadParameters"),
+    (["search", "--n", "5", "--b1", "2", "--b2", "1", "--q", "3", "--workers", "-3"],
+     "BadParameters"),
 ])
 def test_guards_raise_typed_errors(capsys, tmp_path, call, error):
     """Library calls raise the typed error; CLI runs (argv lists, with CODE a
