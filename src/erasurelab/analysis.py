@@ -9,6 +9,10 @@ Candidates are scanned in ascending column-encoding order, column by column
 with pruning, so "first found" is well defined and worker-count independent.
 Only the smallest column of each scaling class is scanned: scaling a column
 keeps every pattern recoverable, so the first valid matrix has no other.
+Only the inclusion-maximal supports of the family are grouped and tested:
+any subset of independent columns is independent (they are the independent
+sets of a matroid), so a matrix recovers the family iff it recovers those,
+and the valid matrices, hence the first one found, do not change.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .channel import (
     ErasurePattern,
     _burst_plus_random,
     _bursts,
+    _maximal,
     _two_bursts,
     _unions,
     _verify_family,
@@ -385,9 +390,10 @@ def _search_chunk(args):
 def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
     """First [P | I] code recovering every pattern of family(), or None.
 
-    The family is built and grouped once here. With more than one worker,
-    worker i scans every workers-th column-0 candidate from position i, and
-    the hit whose column 0 comes first in scan order is the serial one.
+    The family is built, cut to its maximal supports and grouped once here.
+    With more than one worker, worker i scans every workers-th column-0
+    candidate from position i, and the hit whose column 0 comes first in scan
+    order is the serial one.
     """
     k = _json_int(n, "n") - r
     if k < 1:
@@ -403,7 +409,7 @@ def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
         count = q ** rk if rk * math.log10(q) < 4300 else f"{q}^{rk}"
         raise TooLarge(f"q^(r*k) = {count} candidates exceed the search cap")
     field = field_make(q)  # validates q, including NotPrimePower
-    groups = _prep_groups(n, r, family())
+    groups = _prep_groups(n, r, _maximal(family()))
     # more workers than CPUs cannot run at once, and more than the column-0
     # candidates (1 + (q^r - 1)/(q - 1) of them) would scan nothing
     workers = min(workers, os.cpu_count() or 1, 1 + (q**r - 1) // (q - 1))

@@ -173,6 +173,30 @@ def _unions(n: int, xs, ys) -> list[tuple[int, ...]]:
     return sorted(tuple(i for i in range(n) if m >> i & 1) for m in masks)
 
 
+def _maximal(supports) -> list[tuple[int, ...]]:
+    """The inclusion-maximal supports, in the order given.
+
+    Independent column sets are closed under subsets, so a code recovers a
+    family iff it recovers these. The test is a real superset test: the
+    two-burst and burst-random lists are not closed under subsets, so a
+    support may be covered by a longer one and by none of its one-index
+    extensions.
+    """
+    supports = list(supports)
+    kept: list[int] = []
+    keep = [False] * len(supports)
+    # a support is covered only by one at least as long, so the longest come first
+    for i in sorted(range(len(supports)), key=lambda i: len(supports[i]), reverse=True):
+        m = sum(1 << j for j in supports[i])
+        for k in kept:
+            if m & k == m:
+                break
+        else:
+            kept.append(m)
+            keep[i] = True
+    return [s for s, k in zip(supports, keep) if k]
+
+
 def _two_bursts(n: int, b1: int, b2: int) -> list[tuple[int, ...]]:
     if (_json_int(n, "n") < 1 or _json_int(b1, "b1") < 1 or _json_int(b2, "b2") < 1
             or b1 > n or b2 > n):

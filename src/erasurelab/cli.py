@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -337,13 +338,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    fmt = args.format
     try:
         payload, rc = args.func(args)
     except (ErasureLabError, OSError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, fmt)
+        payload, rc = {"error": {"type": type(exc).__name__, "message": str(exc)}}, 2
+    try:
+        _emit(payload, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): point stdout at devnull so the
+        # flush at exit cannot raise again, and report an I/O error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
-    _emit(payload, fmt)
     return rc
 
 

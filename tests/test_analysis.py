@@ -2,7 +2,9 @@
 the exhaustive [P | I] searches (including a brute-force cross-check)."""
 
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,7 @@ from erasurelab.errors import (
 )
 
 F2 = field_make(2)
+SEARCH_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "search_table.json"
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +527,39 @@ def test_search_supports_fit_in_the_parity_rows(n):
                 assert len(p_cols) <= len(kept)
                 expected[max(p_cols)].append((p_cols, kept))
         assert [sorted(g) for g in groups] == [sorted(g) for g in expected]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_maximal_matches_a_brute_force_superset_filter(n):
+    """_maximal keeps exactly the supports that no other support of the
+    family strictly contains, in the family's order."""
+    for _, supports in _search_families(n):
+        sets = [set(sup) for sup in supports]
+        expected = [sup for sup, s in zip(supports, sets) if not any(s < t for t in sets)]
+        kept = analysis._maximal(supports)
+        assert kept == expected
+        positions = [supports.index(sup) for sup in kept]
+        assert positions == sorted(positions)
+        kept_sets = [set(sup) for sup in kept]
+        for s, t in itertools.combinations(kept_sets, 2):
+            assert not s <= t and not t <= s
+        dropped = set(supports) - set(kept)
+        for sup in dropped:
+            assert any(set(sup) < t for t in kept_sets)
+
+
+def test_search_returns_the_benchmark_tables_recorded_answers():
+    """Every instance the search benchmark keeps gives its recorded H (or
+    None), found by a serial scan: this pins the first-found H."""
+    table = json.loads(SEARCH_TABLE.read_text())
+    assert len(table["kept"]) == 353
+    for item in table["kept"]:
+        family, n, p1, p2, q = item["instance"]
+        search = (exhaustive_code_search if family == "two-burst"
+                  else exhaustive_burst_random_search)
+        code = search(n, p1, p2, q, workers=1)
+        found = None if code is None else [list(row) for row in code.h.data]
+        assert found == item["H"], item["instance"]
 
 
 @pytest.mark.parametrize("call", [

@@ -191,6 +191,40 @@ def test_analyze_rate(capsys):
     assert (result["n"], result["k"]) == (8, 4)
 
 
+def test_format_flag_goes_after_the_analyze_kind(capsys):
+    """--format belongs to each leaf parser, so for analyze it follows the
+    report kind; in front of the kind it is a usage error."""
+    argv = ["--a", "2", "--b", "3", "--e", "1", "--w", "8"]
+    assert main(["analyze", "rate", *argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["command"] == "analyze rate"
+    assert main(["analyze", "--format", "json", "rate", *argv]) == 2
+
+
+def test_closed_stdout_exits_2_without_a_traceback(monkeypatch, tmp_path):
+    """A reader that goes away (`| head -1`) is an I/O error: exit 2, and
+    stdout's descriptor is pointed at devnull so the flush at exit is quiet."""
+
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "wb") as target:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(target.fileno()))
+        rc = main(["construct", "--scheme", "mds", "--n", "7", "--r", "5", "--format", "json"])
+        os.write(target.fileno(), b"dropped")
+    assert rc == 2
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
 def test_module_entry_point_prints_what_main_prints(capsys):
     """python -m erasurelab goes through cli.run, which exits with main's code."""
     argv = ["analyze", "rate", "--a", "2", "--b", "3", "--e", "1", "--w", "8"]
