@@ -5,10 +5,11 @@ The searches run over systematic candidates [P | I]: any code recovering the
 pattern family in question must have independent last n-k columns (the family
 contains a pattern covering exactly those coordinates), so row reduction puts
 its parity-check matrix in that form and the restriction loses no codes.
-Candidates are scanned in ascending column-encoding order, column by column
-with pruning, so "first found" is well defined and worker-count independent.
-Only the smallest column of each scaling class is scanned: scaling a column
-keeps every pattern recoverable, so the first valid matrix has no other.
+Candidates are scanned serially in ascending column-encoding order, column
+by column with pruning, so "first found" is well defined. Only the smallest
+column of each scaling class is scanned: scaling a column keeps every pattern
+recoverable, so the first valid matrix has no other. Scaling rows does too,
+so column 0 is scanned over its 0/1 vectors only (see _zero_one).
 Only the inclusion-maximal supports of the family are grouped and tested:
 any subset of independent columns is independent (they are the independent
 sets of a matroid), so a matrix recovers the family iff it recovers those,
@@ -299,8 +300,8 @@ def cyclic_burst_capability(code: CyclicCode) -> bool:
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count for searches: the ERASURELAB_THREADS env var is a cap
-    (and the default when no count is requested)."""
+    """Worker count echoed as meta.threads (every search runs serially):
+    ERASURELAB_THREADS is a cap, and the default when none is requested."""
     raw = os.environ.get("ERASURELAB_THREADS", "").strip()
     if raw:
         try:
@@ -347,6 +348,18 @@ def _normalized(q: int, r: int):
     return itertools.chain((0,), *(range(q**t, 2 * q**t) for t in range(r)))
 
 
+def _zero_one(q: int, r: int):
+    """The 2^r columns with 0/1 digits, ascending (s's bits read in base q).
+
+    Scaling each row i of H with P[i][0] != 0 by 1/P[i][0] keeps the code,
+    and scaling the identity columns back keeps every column subset's
+    independence. Column 0 becomes its 0/1 support vector, which encodes
+    below any other vector with that support, and the other columns can be
+    normalized again, so the first valid [P | I] has a 0/1 column 0.
+    """
+    return (sum(q**i for i in range(r) if s >> i & 1) for s in range(2**r))
+
+
 def _dfs(field, r: int, groups, depth: int, cols, candidates):
     """First valid completion of cols (columns 0..depth-1 of P) with column
     depth taken from candidates, or None.
@@ -380,20 +393,11 @@ def _dfs(field, r: int, groups, depth: int, cols, candidates):
     return None
 
 
-def _search_chunk(args):
-    """Scan column 0 over every workers-th normalized candidate from position i."""
-    q, r, groups, i, workers = args
-    candidates = itertools.islice(_normalized(q, r), i, None, workers)
-    return _dfs(field_make(q), r, groups, 0, [], candidates)
-
-
 def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
     """First [P | I] code recovering every pattern of family(), or None.
 
-    The family is built, cut to its maximal supports and grouped once here.
-    With more than one worker, worker i scans every workers-th column-0
-    candidate from position i, and the hit whose column 0 comes first in scan
-    order is the serial one.
+    The family is built, cut to its maximal supports and grouped once here
+    for one serial scan; workers is validated only.
     """
     k = _json_int(n, "n") - r
     if k < 1:
@@ -410,20 +414,7 @@ def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
         raise TooLarge(f"q^(r*k) = {count} candidates exceed the search cap")
     field = field_make(q)  # validates q, including NotPrimePower
     groups = _prep_groups(n, r, _maximal(family()))
-    # more workers than CPUs cannot run at once, and more than the column-0
-    # candidates (1 + (q^r - 1)/(q - 1) of them) would scan nothing
-    workers = min(workers, os.cpu_count() or 1, 1 + (q**r - 1) // (q - 1))
-    if workers < 2:
-        cols = _dfs(field, r, groups, 0, [], _normalized(q, r))
-    else:
-        # imported here so that no serial run pays for loading multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [(q, r, groups, i, workers) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = [c for c in pool.map(_search_chunk, chunks) if c is not None]
-        # each worker's hit has its smallest column 0; compare highest digit first
-        cols = min(hits, key=lambda c: c[0][::-1], default=None)
+    cols = _dfs(field, r, groups, 0, [], _zero_one(q, r))
     if cols is None:
         return None
     rows = [

@@ -295,7 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--q": dict(type=int, help="field size"),
         "--h": dict(help="comma-separated polynomial coefficients, ascending"),
         "--wraparound": dict(action="store_true", help="let bursts wrap cyclically"),
-        "--workers": dict(type=int, help="parallel workers (capped by ERASURELAB_THREADS)"),
+        "--workers": dict(type=int, help="echoed as meta.threads, capped by "
+                          "ERASURELAB_THREADS; every search runs serially"),
         "--out": dict(help="write the code file here"),
         "--seed": dict(type=int, required=True),
         "--source": dict(choices=("periodic", "ge"), required=True),

@@ -52,6 +52,7 @@ from erasurelab.errors import (
 
 F2 = field_make(2)
 SEARCH_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "search_table.json"
+SEARCH_EXCLUDED = Path(__file__).resolve().parent / "search_excluded.json"
 
 
 # ---------------------------------------------------------------------------
@@ -432,17 +433,28 @@ def test_normalized_columns_are_the_scaling_class_minima(q, r):
     assert len(scan) == 1 + (q**r - 1) // (q - 1)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_zero_one_columns_are_an_ascending_part_of_the_normalized_scan(q, r):
+    """Column 0 is scanned over the 0/1 vectors only, in scan order, and
+    over GF(2) that is the whole normalized scan."""
+    scan = list(analysis._zero_one(q, r))
+    # every 0/1 vector, in ascending order
+    assert scan == [v for v in range(q**r) if set(_digits(v, q, r)) <= {0, 1}]
+    assert len(scan) == 2**r
+    normalized = iter(analysis._normalized(q, r))
+    assert all(v in normalized for v in scan)  # consumes: a subsequence
+    if q == 2:
+        assert scan == list(analysis._normalized(2, r))
+
+
 def test_parallel_search_matches_serial():
     serial = exhaustive_code_search(5, 2, 1, 3, workers=1)
     parallel = exhaustive_code_search(5, 2, 1, 3, workers=2)
     assert parallel.h.data == serial.h.data
 
 
-def test_serial_search_never_reaches_the_worker_entry_point(monkeypatch):
-    def broken(args):
-        raise AssertionError("a one-worker search called _search_chunk")
-
-    monkeypatch.setattr(analysis, "_search_chunk", broken)
+def test_serial_search_finds_the_pinned_matrices():
     found = exhaustive_code_search(6, 2, 1, 4, workers=1)
     assert found.h.data == (
         (1, 2, 1, 1, 0, 0),
@@ -466,37 +478,8 @@ def test_search_family_is_enumerated_once_in_the_caller(monkeypatch):
 
     monkeypatch.setattr(analysis, "_two_bursts", counting)
     found = exhaustive_code_search(5, 2, 1, 3, workers=2)
-    assert calls == [(5, 2, 1)]  # workers scan the groups prepared here
+    assert calls == [(5, 2, 1)]  # the scan reads the groups prepared here
     assert found.h.data == exhaustive_code_search(5, 2, 1, 3).h.data
-
-
-@pytest.mark.parametrize("cpus, pool", [(4, 4), (64, 14), (None, None)])
-def test_search_pool_is_bounded_by_cpus_and_candidates(monkeypatch, cpus, pool):
-    """Two-burst (5, 2, 1) over GF(3) has r = 3 and so 1 + (3^3 - 1)/2 = 14
-    column-0 candidates. The pool is a fake that runs every chunk in this
-    process and records its size; no CPU count means one worker, no pool."""
-    import concurrent.futures
-
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
-    found = exhaustive_code_search(5, 2, 1, 3, workers=10**6)
-    assert sizes == ([] if pool is None else [pool])
-    assert found.h.data == exhaustive_code_search(5, 2, 1, 3, workers=1).h.data
 
 
 def _search_families(n):
@@ -549,11 +532,17 @@ def test_maximal_matches_a_brute_force_superset_filter(n):
 
 
 def test_search_returns_the_benchmark_tables_recorded_answers():
-    """Every instance the search benchmark keeps gives its recorded H (or
-    None), found by a serial scan: this pins the first-found H."""
+    """Every instance of the search benchmark's grid gives its recorded H (or
+    None): the 353 it keeps, and the 90 it excludes as slow, whose answers
+    were recorded from the scan over every normalized column 0. This pins
+    the first-found H."""
     table = json.loads(SEARCH_TABLE.read_text())
-    assert len(table["kept"]) == 353
-    for item in table["kept"]:
+    excluded = json.loads(SEARCH_EXCLUDED.read_text())["excluded"]
+    assert len(table["kept"]) == 353 and len(excluded) == 90
+    assert [item["instance"] for item in excluded] == [
+        item["instance"] for item in table["excluded"]
+    ]
+    for item in table["kept"] + excluded:
         family, n, p1, p2, q = item["instance"]
         search = (exhaustive_code_search if family == "two-burst"
                   else exhaustive_burst_random_search)

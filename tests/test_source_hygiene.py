@@ -5,7 +5,8 @@ str constants, and no function rebinds module state through ``global``.
 ``__init__.py`` is exempt from the import check because its imports are the
 public re-exports. Every method or property defined on a class is read as an
 attribute somewhere in the package (a static method through its own class),
-and importing the package and its CLI loads no process-pool machinery. Every
+and neither importing the package and its CLI nor running a search with
+several workers loads process-pool machinery. Every
 function the benchmark tracer wraps by name exists in the package, and so
 does every ``Field`` method it wraps through ``vars(Field)``."""
 
@@ -127,8 +128,7 @@ def test_every_method_is_read_somewhere():
 
 
 def test_import_loads_no_process_pool():
-    """Only a search with more than one worker imports the pool, so a fresh
-    import of the package and its CLI leaves it out."""
+    """A fresh import of the package and its CLI leaves the pool out."""
     probe = (
         "import sys, erasurelab, erasurelab.cli; "
         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
@@ -137,6 +137,24 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_search_loads_a_process_pool():
+    """Every search is one serial scan, so asking for two workers, from the
+    library or the CLI with ERASURELAB_THREADS=2, loads no pool either."""
+    probe = (
+        "import sys\n"
+        "from erasurelab.analysis import exhaustive_code_search\n"
+        "from erasurelab.cli import main\n"
+        "assert exhaustive_code_search(5, 2, 1, 3, workers=2) is not None\n"
+        "argv = ['search', '--n', '5', '--b1', '2', '--b2', '1', '--q', '3', '--workers', '2']\n"
+        "assert main(argv) == 0\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent), "ERASURELAB_THREADS": "2"}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_no_global_statements():
