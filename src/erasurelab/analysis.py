@@ -10,10 +10,18 @@ by column with pruning, so "first found" is well defined. Only the smallest
 column of each scaling class is scanned: scaling a column keeps every pattern
 recoverable, so the first valid matrix has no other. Scaling rows does too,
 so column 0 is scanned over its 0/1 vectors only (see _zero_one).
-Only the inclusion-maximal supports of the family are grouped and tested:
-any subset of independent columns is independent (they are the independent
-sets of a matroid), so a matrix recovers the family iff it recovers those,
-and the valid matrices, hence the first one found, do not change.
+Only the supports with r entries are grouped and tested. Any subset of
+independent columns is independent, so a matrix recovers the family iff it
+recovers the supports that no other one contains; a family may be searched
+this way only if those are exactly its r-entry supports. Both families are
+of that kind when n > r, since no member has more than r entries and every
+member lies inside one with r. Two-burst (r = b1 + b2): lengthen both bursts
+to full length; if they then overlap, their union is an interval shorter
+than r < n, which lies inside an interval of length r, itself an abutting
+b1-burst and b2-burst. Burst-random (r = b + e): lengthen the burst to b,
+drop the extras inside it, and add extras outside it until there are e,
+which n > b + e leaves room for. The valid matrices, hence the first one
+found, do not change.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ from .channel import (
     ErasurePattern,
     _burst_plus_random,
     _bursts,
-    _maximal,
     _two_bursts,
     _unions,
     _verify_family,
@@ -396,7 +403,7 @@ def _dfs(field, r: int, groups, depth: int, cols, candidates):
 def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
     """First [P | I] code recovering every pattern of family(), or None.
 
-    The family is built, cut to its maximal supports and grouped once here
+    The family is built, cut to its r-entry supports and grouped once here
     for one serial scan; workers is validated only.
     """
     k = _json_int(n, "n") - r
@@ -413,7 +420,7 @@ def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
         count = q ** rk if rk * math.log10(q) < 4300 else f"{q}^{rk}"
         raise TooLarge(f"q^(r*k) = {count} candidates exceed the search cap")
     field = field_make(q)  # validates q, including NotPrimePower
-    groups = _prep_groups(n, r, _maximal(family()))
+    groups = _prep_groups(n, r, [s for s in family() if len(s) == r])
     cols = _dfs(field, r, groups, 0, [], _zero_one(q, r))
     if cols is None:
         return None

@@ -63,10 +63,14 @@ class ErasurePattern:
     def __post_init__(self):
         if _json_int(self.n, "pattern length") < 1:
             raise BadParameters(f"pattern length must be >= 1, got {self.n}")
-        for i in self.support:
+        try:
+            support = tuple(self.support)
+        except TypeError:
+            raise BadParameters(f"support is not a list: {self.support!r}") from None
+        for i in support:
             _json_int(i, "support index")
-        sup = tuple(sorted(set(self.support)))
-        if len(sup) != len(self.support):
+        sup = tuple(sorted(set(support)))
+        if len(sup) != len(support):
             raise BadParameters(f"support has duplicates: {self.support}")
         if sup and (sup[0] < 0 or sup[-1] >= self.n):
             raise BadParameters(f"support {sup} out of range for n={self.n}")
@@ -171,30 +175,6 @@ def _unions(n: int, xs, ys) -> list[tuple[int, ...]]:
     """The support of every distinct x | y over the two mask lists, sorted."""
     masks = {x | y for x in xs for y in ys}
     return sorted(tuple(i for i in range(n) if m >> i & 1) for m in masks)
-
-
-def _maximal(supports) -> list[tuple[int, ...]]:
-    """The inclusion-maximal supports, in the order given.
-
-    Independent column sets are closed under subsets, so a code recovers a
-    family iff it recovers these. The test is a real superset test: the
-    two-burst and burst-random lists are not closed under subsets, so a
-    support may be covered by a longer one and by none of its one-index
-    extensions.
-    """
-    supports = list(supports)
-    kept: list[int] = []
-    keep = [False] * len(supports)
-    # a support is covered only by one at least as long, so the longest come first
-    for i in sorted(range(len(supports)), key=lambda i: len(supports[i]), reverse=True):
-        m = sum(1 << j for j in supports[i])
-        for k in kept:
-            if m & k == m:
-                break
-        else:
-            kept.append(m)
-            keep[i] = True
-    return [s for s, k in zip(supports, keep) if k]
 
 
 def _two_bursts(n: int, b1: int, b2: int) -> list[tuple[int, ...]]:

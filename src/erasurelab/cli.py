@@ -167,8 +167,8 @@ def _cmd_construct(args) -> tuple[dict, int]:
 
 def _cmd_verify(args) -> tuple[dict, int]:
     code = _load_code(args.code)
-    streaming_mode = args.w is not None or args.a is not None
-    burst_mode = args.b1 is not None or args.b2 is not None
+    streaming_mode = any(getattr(args, f) is not None for f in ("a", "b", "e", "w", "tau"))
+    burst_mode = args.wraparound or args.b1 is not None or args.b2 is not None
     if streaming_mode == burst_mode:
         raise BadParameters("give either --a/--b/--e/--w (streaming) or --b1/--b2")
     if streaming_mode:

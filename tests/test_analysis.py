@@ -448,12 +448,6 @@ def test_zero_one_columns_are_an_ascending_part_of_the_normalized_scan(q, r):
         assert scan == list(analysis._normalized(2, r))
 
 
-def test_parallel_search_matches_serial():
-    serial = exhaustive_code_search(5, 2, 1, 3, workers=1)
-    parallel = exhaustive_code_search(5, 2, 1, 3, workers=2)
-    assert parallel.h.data == serial.h.data
-
-
 def test_serial_search_finds_the_pinned_matrices():
     found = exhaustive_code_search(6, 2, 1, 4, workers=1)
     assert found.h.data == (
@@ -514,21 +508,19 @@ def test_search_supports_fit_in_the_parity_rows(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_maximal_matches_a_brute_force_superset_filter(n):
-    """_maximal keeps exactly the supports that no other support of the
-    family strictly contains, in the family's order."""
-    for _, supports in _search_families(n):
+    """With n > r, the supports no other support of the family strictly
+    contains are exactly those with r entries, in the family's order, so
+    _run_search loses no constraint by keeping only those."""
+    for r, supports in _search_families(n):
+        if n <= r:
+            continue
         sets = [set(sup) for sup in supports]
         expected = [sup for sup, s in zip(supports, sets) if not any(s < t for t in sets)]
-        kept = analysis._maximal(supports)
-        assert kept == expected
-        positions = [supports.index(sup) for sup in kept]
-        assert positions == sorted(positions)
-        kept_sets = [set(sup) for sup in kept]
-        for s, t in itertools.combinations(kept_sets, 2):
-            assert not s <= t and not t <= s
-        dropped = set(supports) - set(kept)
-        for sup in dropped:
-            assert any(set(sup) < t for t in kept_sets)
+        full = [sup for sup in supports if len(sup) == r]
+        assert full == expected, (n, r)
+        full_sets = [set(sup) for sup in full]
+        for s in sets:
+            assert any(s <= t for t in full_sets), (n, r, s)
 
 
 def test_search_returns_the_benchmark_tables_recorded_answers():

@@ -73,6 +73,8 @@ def test_erasure_pattern_canonicalization():
     (2.5, ()),
     ("5", (1,)),
     (True, (0,)),
+    (5, 3),
+    (5, None),
 ])
 def test_erasure_pattern_rejects_non_integers(n, support):
     with pytest.raises(BadParameters):

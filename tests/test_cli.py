@@ -163,12 +163,16 @@ def test_verify_needs_exactly_one_mode(capsys, tmp_path):
     path = str(tmp_path / "c1.json")
     main(["construct", "--scheme", "c1", "--n", "8", "--b1", "3", "--b2", "1", "--out", path])
     capsys.readouterr()
-    rc, doc = _run_json(capsys, ["verify", "--code", path])
-    assert rc == 2 and doc["error"]["type"] == "BadParameters"
-    rc, doc = _run_json(
-        capsys, ["verify", "--code", path, "--w", "8", "--b1", "3", "--b2", "1"]
-    )
-    assert rc == 2 and doc["error"]["type"] == "BadParameters"
+    for flags in (
+        [],
+        ["--w", "8", "--b1", "3", "--b2", "1"],
+        # a flag of the other mode is an error, not ignored
+        ["--a", "1", "--b", "3", "--e", "1", "--w", "8", "--wraparound"],
+        ["--b1", "3", "--b2", "1", "--tau", "5"],
+        ["--b1", "3", "--b2", "1", "--b", "3", "--e", "1"],
+    ):
+        rc, doc = _run_json(capsys, ["verify", "--code", path, *flags])
+        assert rc == 2 and doc["error"]["type"] == "BadParameters", flags
 
 
 def test_verify_missing_file_exits_2(capsys, tmp_path):

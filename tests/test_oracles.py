@@ -459,27 +459,26 @@ def test_search_errors_match_reference(family, n, p1, p2, q):
     ("burst-random", 6, 2, 1, 3),
     ("burst-random", 5, 1, 1, 4),
 ])
-def test_parallel_searches_match_reference(family, n, p1, p2, q):
+def test_two_worker_searches_match_reference(family, n, p1, p2, q):
     found, ref = _search_outcomes(family, n, p1, p2, q, workers=2)
     assert found == ref
 
 
-def test_parallel_search_with_its_hit_in_a_later_chunk():
-    """Two workers interleave GF(3)'s 122 normalized r = 5 columns, worker i
-    taking positions i, i + 2, ...; the first H for burst 1 + 4 random at
-    n = 6 starts with the candidate at position 81, which worker 1 scans,
-    while worker 0 hits later, at position 82, so the hit with the smaller
-    column 0 wins over the one from the lower worker."""
+def test_two_worker_search_hits_at_the_last_column_0():
+    """The first H for burst 1 + 4 random at n = 6 over GF(3) has the all-ones
+    column 0, the last 0/1 vector and position 81 of GF(3)'s 122 normalized
+    r = 5 columns, so every other column 0 fails first; workers=2 finds the
+    reference's H."""
     found, ref = _search_outcomes("burst-random", 6, 1, 4, 3, workers=2)
     assert found == ref and found[1] is not None
     col0 = sum(row[0] * 3**i for i, row in enumerate(found[1].data))
     assert list(_normalized(3, 5)).index(col0) == 81
 
 
-def test_parallel_search_reads_the_first_chunk_first():
-    """With no pattern to recover, every chunk hits at its first candidate;
-    only the first chunk starts with the zero column, so a worker-count
-    independent result has column 0 of P all zero."""
+def test_empty_family_search_takes_the_zero_column_first():
+    """With no pattern to recover, the first candidate passes at every
+    column, and the scan starts with the zero column, so column 0 of P is
+    all zero whatever the worker count."""
     code = _run_search(4, 2, 3, 2, lambda: [], {})
     assert [row[0] for row in code.h.data] == [0, 0]
     assert code.h.data == _run_search(4, 2, 3, 1, lambda: [], {}).h.data
