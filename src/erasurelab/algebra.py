@@ -648,24 +648,31 @@ def vectors_independent(field: Field, vectors) -> bool:
     return all(_push(field, basis, v) for v in vectors)
 
 
-def _first_dependent(field: Field, cols, supports):
+def _first_dependent(field: Field, cols, supports, path: bool = False):
     """(supports walked, the first whose cols are dependent, or None).
 
     A support is a tuple of indices into cols. One pivot basis is carried
     along: it is cut back to the prefix each support shares with the one
     before, and only the rest is pushed. That is right in any order, and in
     lexicographic order it is about one push per support.
+
+    With path, the walk stops at the first support that does not extend the
+    one before it, unpushed and uncounted: in lexicographic order the
+    supports walked are then the first path of the set-enumeration tree,
+    down to its first leaf.
     """
     basis: list = []
     prev: tuple = ()
     checked = 0
     for sup in supports:
-        checked += 1
         keep = 0
         for a, b in zip(prev, sup):
             if a != b:
                 break
             keep += 1
+        if path and keep < len(prev):
+            break
+        checked += 1
         del basis[keep:]
         if not all(_push(field, basis, cols[j]) for j in sup[keep:]):
             return checked, sup

@@ -21,7 +21,9 @@ than r < n, which lies inside an interval of length r, itself an abutting
 b1-burst and b2-burst. Burst-random (r = b + e): lengthen the burst to b,
 drop the extras inside it, and add extras outside it until there are e,
 which n > b + e leaves room for. The valid matrices, hence the first one
-found, do not change.
+found, do not change. The r-entry supports are read from the family's
+full-length unions alone (cover=True), since r entries take two disjoint
+bursts of lengths b1 and b2, or a length-b burst and e extras outside it.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .channel import (
     _bursts,
     _two_bursts,
     _unions,
-    _verify_family,
 )
 from .codes import CyclicCode, LinearCode, min_distance
 from .errors import (
@@ -286,7 +287,9 @@ def cyclic_report(code: CyclicCode) -> CyclicReport:
     if d > bound:
         raise RuntimeError("distance exceeds the zero-run bound; this is a bug")
     # the bare bursts in this family have d-1 columns, always independent
-    witness = _verify_family(code, _unions(n, _bursts(n, [d - 1]), _bursts(n, [1]))).witness
+    family = _unions(n, _bursts(n, [d - 1]), _bursts(n, [1]))
+    bad = _first_dependent(code.field, list(zip(*code.h.data)), family)[1]
+    witness = None if bad is None else ErasurePattern(n, bad)
     meets = d == bound
     if meets != (witness is not None):
         raise RuntimeError("tightness witness disagrees with d; this is a bug")
@@ -298,7 +301,8 @@ def cyclic_burst_capability(code: CyclicCode) -> bool:
     if not isinstance(code, CyclicCode):
         raise WrongProvenance("needs a code built by cyclic_from_h")
     n, r = code.n, code.n - code.k
-    return _verify_family(code, _unions(n, _bursts(n, [r], cyclic=True), [0])).verdict
+    family = _unions(n, _bursts(n, [r], cyclic=True), [0])
+    return _first_dependent(code.field, list(zip(*code.h.data)), family)[1] is None
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +407,9 @@ def _dfs(field, r: int, groups, depth: int, cols, candidates):
 def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
     """First [P | I] code recovering every pattern of family(), or None.
 
-    The family is built, cut to its r-entry supports and grouped once here
-    for one serial scan; workers is validated only.
+    family() builds the family's full-length unions, which are cut to their
+    r-entry supports and grouped once here for one serial scan; workers is
+    validated only.
     """
     k = _json_int(n, "n") - r
     if k < 1:
@@ -440,7 +445,7 @@ def exhaustive_code_search(
     order, that recovers every two-burst pattern; None when none exists."""
     if _json_int(b1, "b1") < 1 or _json_int(b2, "b2") < 1:
         raise BadParameters(f"need b1, b2 >= 1, got b1={b1}, b2={b2}")
-    family = functools.partial(_two_bursts, n, b1, b2)
+    family = functools.partial(_two_bursts, n, b1, b2, cover=True)
     fields = {"family": "two-burst", "n": n, "b1": b1, "b2": b2}
     return _run_search(n, b1 + b2, q, workers, family, fields)
 
@@ -453,6 +458,6 @@ def exhaustive_burst_random_search(
     exists."""
     if _json_int(b, "b") < 1 or _json_int(e, "e") < 0:
         raise BadParameters(f"need b >= 1 and e >= 0, got b={b}, e={e}")
-    family = functools.partial(_burst_plus_random, n, b, e)
+    family = functools.partial(_burst_plus_random, n, b, e, cover=True)
     fields = {"family": "burst-random", "n": n, "b": b, "e": e}
     return _run_search(n, b + e, q, workers, family, fields)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebra import _first_dependent, _json_int, _recovery, columns_independent
 from .codes import LinearCode
@@ -87,9 +87,11 @@ class ErasurePattern:
 class VerificationReport:
     """Outcome of a pattern-family verification.
 
-    witness is the lexicographically smallest failing pattern (None on pass);
-    patterns_checked counts patterns evaluated in lex order, which equals the
-    whole family size when the verdict is a pass.
+    witness is the lexicographically smallest failing pattern (None on pass).
+    On a failure, patterns_checked counts the patterns walked in lex order up
+    to and including the witness. A pass is decided on a cover of the family
+    (see _verify_family), and patterns_checked is then the family size, not
+    a count of the patterns pushed.
     """
 
     verdict: bool
@@ -152,6 +154,40 @@ def _admissible_supports(params: ChannelParams):
                 stack.append((ext, sup + (i,)))
 
 
+@lru_cache(maxsize=None)
+def _window_count(params: ChannelParams) -> int:
+    """How many supports _admissible_supports walks, counted without pushes."""
+    return sum(1 for _ in _admissible_supports(params))
+
+
+def _window_cover(params: ChannelParams) -> list[tuple[int, ...]]:
+    """A cover of the admissible window supports, sorted: each length-b burst
+    with e indices outside it, and each a-subset that no burst covers up to e.
+
+    Every admissible E lies inside one of them. If some burst B leaves at
+    most e of E outside it, pad E minus B to e indices outside B (w - b > e
+    leaves room); otherwise |E| <= a, and E padded to a entries is still
+    covered by no burst. Each of them is admissible, and they are exactly
+    the inclusion-maximal supports: no admissible set has more than b + e
+    entries, and an a-subset that no burst covers cannot grow, since any
+    larger set needs a burst. For (a, b, e, w) = (3, 3, 1, 9) that keeps
+    {0, 4, 8} beside the 4-entry supports.
+    """
+    w, b, e = params.w, params.b, params.e
+    bursts = _burst_masks(w, b)
+    bits = [1 << i for i in range(w)]
+    masks = {
+        bm | sum(extra)
+        for bm in bursts
+        for extra in itertools.combinations([x for x in bits if not bm & x], e)
+    }
+    for sub in itertools.combinations(bits, params.a):
+        m = sum(sub)
+        if all((m & ~bm).bit_count() > e for bm in bursts):
+            masks.add(m)
+    return _supports(w, masks)
+
+
 def enumerate_admissible_windows(params: ChannelParams) -> list[ErasurePattern]:
     """All admissible window patterns, lexicographic by support (empty first)."""
     return [ErasurePattern(params.w, s) for s in _admissible_supports(params)]
@@ -171,19 +207,34 @@ def _bursts(n: int, lengths, cyclic: bool = False) -> list[int]:
     return out
 
 
-def _unions(n: int, xs, ys) -> list[tuple[int, ...]]:
-    """The support of every distinct x | y over the two mask lists, sorted."""
-    masks = {x | y for x in xs for y in ys}
+def _supports(n: int, masks) -> list[tuple[int, ...]]:
+    """The support of every mask, sorted."""
     return sorted(tuple(i for i in range(n) if m >> i & 1) for m in masks)
 
 
-def _two_bursts(n: int, b1: int, b2: int) -> list[tuple[int, ...]]:
+def _unions(n: int, xs, ys) -> list[tuple[int, ...]]:
+    """The support of every distinct x | y over the two mask lists, sorted."""
+    return _supports(n, {x | y for x in xs for y in ys})
+
+
+def _burst_pairs(
+    n: int, b1: int, b2: int, cover: bool, cyclic: bool = False
+) -> list[tuple[int, ...]]:
+    """Unions of a burst of length <= b1 and one of length <= b2; with cover,
+    of length exactly b1 and b2. Every shorter burst lies inside a full-length
+    one, so each union lies inside a full-length union."""
+    if cover:
+        return _unions(n, _bursts(n, [b1], cyclic), _bursts(n, [b2], cyclic))
+    return _unions(n, _bursts(n, range(1, b1 + 1), cyclic), _bursts(n, range(1, b2 + 1), cyclic))
+
+
+def _two_bursts(n: int, b1: int, b2: int, cover: bool = False) -> list[tuple[int, ...]]:
     if (_json_int(n, "n") < 1 or _json_int(b1, "b1") < 1 or _json_int(b2, "b2") < 1
             or b1 > n or b2 > n):
         raise BadParameters(f"bad burst enumeration parameters n={n}, b1={b1}, b2={b2}")
     if n > _ENUM_N_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
-    return _unions(n, _bursts(n, range(1, b1 + 1)), _bursts(n, range(1, b2 + 1)))
+    return _burst_pairs(n, b1, b2, cover)
 
 
 def enumerate_b1b2_patterns(n: int, b1: int, b2: int) -> list[ErasurePattern]:
@@ -195,7 +246,10 @@ def enumerate_b1b2_patterns(n: int, b1: int, b2: int) -> list[ErasurePattern]:
     return [ErasurePattern(n, s) for s in _two_bursts(n, b1, b2)]
 
 
-def _burst_plus_random(n: int, b: int, e: int) -> list[tuple[int, ...]]:
+def _burst_plus_random(n: int, b: int, e: int, cover: bool = False) -> list[tuple[int, ...]]:
+    """Unions of a burst of length <= b with <= e extra indices; with cover,
+    of a length-b burst with min(e, n) of them. Each union lies inside such
+    a full-length one: lengthen the burst and add extras."""
     if (_json_int(n, "n") < 1 or _json_int(b, "b") < 1 or b > n
             or _json_int(e, "e") < 0):
         raise BadParameters(f"bad parameters n={n}, b={b}, e={e}")
@@ -207,9 +261,11 @@ def _burst_plus_random(n: int, b: int, e: int) -> list[tuple[int, ...]]:
     )
     if approx > 1 << 22:
         raise TooLarge(f"~{approx} raw patterns exceed the enumeration cap")
+    if cover:
+        bursts = _bursts(n, [b])
     extras = [
         _mask(extra)
-        for j in range(min(e, n) + 1)
+        for j in ([min(e, n)] if cover else range(min(e, n) + 1))
         for extra in itertools.combinations(range(n), j)
     ]
     return _unions(n, bursts, extras)
@@ -272,17 +328,32 @@ def decode_erasures(code: LinearCode, received) -> list[int]:
     return _decoder(code)(received)
 
 
-def _verify_family(code: LinearCode, supports) -> VerificationReport:
-    """Report on the supports in the order given; the first one whose
-    parity-check columns are dependent is the witness."""
-    checked, bad = _first_dependent(code.field, list(zip(*code.h.data)), supports)
-    witness = None if bad is None else ErasurePattern(code.n, bad)
-    return VerificationReport(bad is None, witness, checked)
+def _verify_family(code: LinearCode, walk, cover, size) -> VerificationReport:
+    """Report on the family whose supports walk() yields in lexicographic
+    order, given a cover(): family supports such that every family support
+    lies inside one of them, and its size().
+
+    The walk's first path, down to its first leaf, is pushed first; a
+    dependent support there is the witness, with the count of the full walk.
+    Otherwise the cover is pushed. Columns inside an independent set are
+    independent, so when every cover support is, the family passes with
+    size() patterns checked. Only when some cover support is dependent is the
+    family walked again from the start, for the first witness and its count.
+    """
+    field, cols = code.field, list(zip(*code.h.data))
+    checked, bad = _first_dependent(field, cols, walk(), path=True)
+    if bad is None:
+        if _first_dependent(field, cols, cover())[1] is None:
+            return VerificationReport(True, None, size())
+        checked, bad = _first_dependent(field, cols, walk())
+    return VerificationReport(False, ErasurePattern(code.n, bad), checked)
 
 
 def is_b1b2_code(code: LinearCode, b1: int, b2: int) -> VerificationReport:
     """Verify recovery of every two-burst pattern (lengths <= b1 and <= b2)."""
-    return _verify_family(code, _two_bursts(code.n, b1, b2))
+    family = _two_bursts(code.n, b1, b2)
+    cover = partial(_burst_pairs, code.n, b1, b2, cover=True)
+    return _verify_family(code, family.__iter__, cover, family.__len__)
 
 
 def check_wraparound(code: LinearCode, b1: int, b2: int) -> VerificationReport:
@@ -297,6 +368,6 @@ def check_wraparound(code: LinearCode, b1: int, b2: int) -> VerificationReport:
         raise BadParameters(f"bad parameters n={n}, b1={b1}, b2={b2}")
     if n > _ENUM_N_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
-    firsts = _bursts(n, range(1, b1 + 1), cyclic=True)
-    seconds = _bursts(n, range(1, b2 + 1), cyclic=True)
-    return _verify_family(code, _unions(n, firsts, seconds))
+    family = _burst_pairs(n, b1, b2, cover=False, cyclic=True)
+    cover = partial(_burst_pairs, n, b1, b2, cover=True, cyclic=True)
+    return _verify_family(code, family.__iter__, cover, family.__len__)

@@ -112,6 +112,14 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise BadParameters(f"missing required flags: {flags}")
 
 
+def _reject_unread(args: argparse.Namespace, mode: str, reads: str, flags: str) -> None:
+    """BadParameters when one of flags is given that mode does not read."""
+    unread = [n for n in flags.split() if n not in reads.split() and getattr(args, n) is not None]
+    if unread:
+        names = ", ".join("--" + n.replace("_", "-") for n in unread)
+        raise BadParameters(f"{mode} does not read {names}")
+
+
 def _load_code(path: str) -> LinearCode:
     try:
         doc = json.loads(Path(path).read_text())
@@ -149,6 +157,8 @@ def _cyclic_code(args: argparse.Namespace) -> LinearCode:
 
 def _cmd_construct(args) -> tuple[dict, int]:
     scheme = args.scheme
+    reads = {"c1": "n b1 b2 q", "c1bin": "n b1 b2", "mds": "n r q", "cyclic": "n q h"}
+    _reject_unread(args, f"--scheme {scheme}", reads[scheme], "n b1 b2 r q h")
     if scheme == "c1":
         _require(args, "n", "b1", "b2")
         code = construction_one(args.n, args.b1, args.b2, q=args.q)
@@ -241,6 +251,9 @@ def _cmd_search(args) -> tuple[dict, int]:
 
 
 def _cmd_simulate(args) -> tuple[dict, int]:
+    reads = {"periodic": "periods", "ge": "slots p_gb p_bg p_loss_good p_loss_bad"}
+    _reject_unread(args, f"--source {args.source}", reads[args.source],
+                   "periods slots p_gb p_bg p_loss_good p_loss_bad")
     code = _load_code(args.code)
     params = _streaming_params(args)
     if args.source == "periodic":

@@ -12,6 +12,7 @@ its last symbol arrives.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -24,6 +25,8 @@ from .channel import (
     _mask,
     _mask_admissible,
     _verify_family,
+    _window_count,
+    _window_cover,
 )
 from .codes import LinearCode, generator_matrix
 from .errors import (
@@ -306,7 +309,13 @@ def verify_streaming_code(code: LinearCode, params: StreamingParams) -> Verifica
     For n = w and tau = w - 1 (the only delay this verifier supports), that
     holds iff every admissible window pattern has independent parity-check
     columns, so the verdict is an exact finite check. The witness, when the
-    verdict is False, is the lexicographically smallest failing pattern.
+    verdict is False, is the lexicographically smallest failing pattern, and
+    patterns_checked counts the windows walked up to it.
+
+    Admissibility is closed under subsets, so a pass is decided by the
+    inclusion-maximal windows alone (channel._window_cover), once the first
+    path of the window walk has passed; patterns_checked on a pass is the
+    number of admissible windows, not a count of the patterns pushed.
     """
     w = params.channel.w
     if params.tau != w - 1:
@@ -314,7 +323,13 @@ def verify_streaming_code(code: LinearCode, params: StreamingParams) -> Verifica
     if code.n != w:
         raise DimensionMismatch(f"diagonal embedding needs n = w, got n={code.n}, w={w}")
     _require_systematic(code)
-    return _verify_family(code, _admissible_supports(params.channel))
+    ch = params.channel
+    return _verify_family(
+        code,
+        functools.partial(_admissible_supports, ch),
+        functools.partial(_window_cover, ch),
+        functools.partial(_window_count, ch),
+    )
 
 
 @dataclass(frozen=True)

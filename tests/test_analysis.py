@@ -466,13 +466,14 @@ def test_search_family_is_enumerated_once_in_the_caller(monkeypatch):
     calls = []
     enumerate_family = analysis._two_bursts
 
-    def counting(*args):
-        calls.append(args)
-        return enumerate_family(*args)
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return enumerate_family(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "_two_bursts", counting)
     found = exhaustive_code_search(5, 2, 1, 3, workers=2)
-    assert calls == [(5, 2, 1)]  # the scan reads the groups prepared here
+    # the scan reads the groups prepared here, from the full-length unions
+    assert calls == [((5, 2, 1), {"cover": True})]
     assert found.h.data == exhaustive_code_search(5, 2, 1, 3).h.data
 
 
@@ -521,6 +522,24 @@ def test_maximal_matches_a_brute_force_superset_filter(n):
         full_sets = [set(sup) for sup in full]
         for s in sets:
             assert any(s <= t for t in full_sets), (n, r, s)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_search_takes_its_r_entry_supports_from_the_full_length_unions(n):
+    """The r-entry supports of each family the searches build are its
+    full-length unions with r entries, in the same order (searches need
+    b + e < n; larger e only builds larger families)."""
+    for b1, b2 in itertools.product(range(1, n + 1), repeat=2):
+        r = b1 + b2
+        family, cover = analysis._two_bursts(n, b1, b2), analysis._two_bursts(n, b1, b2, cover=True)
+        assert [s for s in cover if len(s) == r] == [s for s in family if len(s) == r]
+    for b, e in itertools.product(range(1, n + 1), range(n + 1)):
+        r = b + e
+        if r > n:
+            continue
+        family = analysis._burst_plus_random(n, b, e)
+        cover = analysis._burst_plus_random(n, b, e, cover=True)
+        assert [s for s in cover if len(s) == r] == [s for s in family if len(s) == r]
 
 
 def test_search_returns_the_benchmark_tables_recorded_answers():

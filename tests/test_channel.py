@@ -6,9 +6,15 @@ import random
 
 import pytest
 
+import oracles
+from erasurelab.algebra import Matrix, field_make
 from erasurelab.channel import (
     ChannelParams,
     ErasurePattern,
+    _burst_pairs,
+    _burst_plus_random,
+    _two_bursts,
+    _window_cover,
     can_recover,
     check_wraparound,
     decode_erasures,
@@ -18,7 +24,7 @@ from erasurelab.channel import (
     is_b1b2_code,
     is_window_admissible,
 )
-from erasurelab.codes import construction_one, generator_matrix, mds_code
+from erasurelab.codes import LinearCode, construction_one, generator_matrix, mds_code
 from erasurelab.errors import (
     BadParameters,
     DivisibilityViolation,
@@ -26,6 +32,7 @@ from erasurelab.errors import (
     LengthMismatch,
     Unrecoverable,
 )
+from erasurelab.streaming import StreamingParams, verify_streaming_code
 
 
 def test_channel_params_validation():
@@ -278,3 +285,109 @@ def test_wraparound_failure_carries_witness():
     assert rep.verdict is False
     assert rep.witness is not None
     assert not can_recover(code, rep.witness)
+
+
+# ---------------------------------------------------------------------------
+# covers: a passing verdict is decided on family supports that contain all
+# the others (channel._verify_family)
+# ---------------------------------------------------------------------------
+
+
+def _window_channels(max_w):
+    return [
+        ChannelParams(a, b, e, w)
+        for w in range(3, max_w + 1)
+        for b in range(1, w - 1)
+        for e in range(1, w - b)
+        for a in range(b + e)
+    ]
+
+
+def _assert_covers(n, cover, family):
+    """Each cover support is a family support, and each family support lies
+    inside a cover support."""
+    assert set(cover) <= set(family)
+    holders = [0] * n  # bit j of holders[i]: cover[j] contains index i
+    for j, sup in enumerate(cover):
+        for i in sup:
+            holders[i] |= 1 << j
+    for sup in family:
+        inside = (1 << len(cover)) - 1
+        for i in sup:
+            inside &= holders[i]
+        assert inside, sup
+
+
+def test_window_covers_match_the_reference_family():
+    channels = _window_channels(11)
+    assert len(channels) == 990
+    for params in channels:
+        family = [p.support for p in oracles.enumerate_admissible_windows(params)]
+        _assert_covers(params.w, _window_cover(params), family)
+    # a maximal support shorter than the burst-plus-extras ones
+    cover = _window_cover(ChannelParams(3, 3, 1, 9))
+    assert (0, 4, 8) in cover
+    assert {len(sup) for sup in cover} == {3, 4}
+
+
+def test_list_family_covers_match_the_reference_families():
+    for n in range(1, 13):
+        for b1, b2 in itertools.product(range(1, n + 1), repeat=2):
+            family = [p.support for p in oracles.enumerate_b1b2_patterns(n, b1, b2)]
+            _assert_covers(n, _two_bursts(n, b1, b2, cover=True), family)
+            if b2 <= b1 and n % b1 == 0:  # the check_wraparound family
+                masks = {i | j for i in oracles._cyclic_intervals(n, b1)
+                         for j in oracles._cyclic_intervals(n, b2)}
+                family = [oracles._pattern_from_mask(n, m).support for m in masks]
+                _assert_covers(n, _burst_pairs(n, b1, b2, cover=True, cyclic=True), family)
+        for b, e in itertools.product(range(1, n + 1), range(n + 1)):
+            if b + e > n and n > 9:  # e > n - b only re-checks the large families
+                continue
+            family = [p.support for p in oracles.enumerate_burst_plus_random(n, b, e)]
+            _assert_covers(n, _burst_plus_random(n, b, e, cover=True), family)
+
+
+def _systematic_code(rng, q, k, r):
+    rows = [[rng.randrange(q) for _ in range(k)] + [int(t == i) for t in range(r)]
+            for i in range(r)]
+    return LinearCode(Matrix(field_make(q), rows))
+
+
+def test_a_dependent_cover_falls_back_to_the_full_walk():
+    """Codes whose first witness lies off the walk's first path pass the
+    path and fail on the cover, so their reports come from the full walk.
+    In these families the first path is (0), (0, 1), ... (after () for
+    windows), so a witness is off it unless it is an initial interval."""
+    rng = random.Random(18)
+    reports = {"window": [], "two-burst": [], "wrap-around": []}
+    for q in (2, 3):
+        for params in _window_channels(8):
+            code = _systematic_code(rng, q, params.w - params.b - params.e, params.b + params.e)
+            report = verify_streaming_code(code, StreamingParams(params, params.w - 1))
+            family = oracles.enumerate_admissible_windows(params)
+            assert report == oracles.verify_family(code, family)
+            reports["window"].append(report)
+        for n in range(3, 11):
+            for b1 in range(1, n - 1):
+                for b2 in range(1, min(b1, n - 1 - b1) + 1):
+                    code = _systematic_code(rng, q, n - b1 - b2, b1 + b2)
+                    report = is_b1b2_code(code, b1, b2)
+                    family = oracles.enumerate_b1b2_patterns(n, b1, b2)
+                    assert report == oracles.verify_family(code, family)
+                    reports["two-burst"].append(report)
+                    if n % b1 == 0:
+                        report = check_wraparound(code, b1, b2)
+                        assert report == oracles.check_wraparound(code, b1, b2)
+                        reports["wrap-around"].append(report)
+    for kind, reps in reports.items():
+        witnesses = [rep.witness.support for rep in reps if not rep.verdict]
+        assert any(sup != tuple(range(len(sup))) for sup in witnesses), kind
+
+
+def test_a_pass_reports_the_family_size():
+    for params in _window_channels(9):
+        report = verify_streaming_code(
+            mds_code(params.w, params.b + params.e), StreamingParams(params, params.w - 1)
+        )
+        assert report.verdict is True and report.witness is None
+        assert report.patterns_checked == len(oracles.enumerate_admissible_windows(params))

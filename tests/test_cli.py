@@ -383,6 +383,32 @@ def test_simulate_inadmissible_periodic_params_exit_2(capsys, tmp_path):
     assert doc["error"]["type"] == "ParameterViolation"
 
 
+def test_flags_the_chosen_mode_does_not_read_exit_2(capsys, tmp_path):
+    """A flag of another scheme or source is an error, not ignored."""
+    path = _write_mds72(capsys, tmp_path)
+    stream = ["simulate", "--code", path, "--a", "2", "--b", "3", "--e", "2", "--w", "7",
+              "--seed", "11"]
+    ge = ["--slots", "40", "--p-gb", "0.1", "--p-bg", "0.5", "--p-loss-good", "0.05",
+          "--p-loss-bad", "0.8"]
+    for argv, message in (
+        (["construct", "--scheme", "c1bin", "--n", "8", "--b1", "3", "--b2", "1", "--q", "5"],
+         "--scheme c1bin does not read --q"),
+        (["construct", "--scheme", "c1", "--n", "8", "--b1", "3", "--b2", "1", "--r", "4"],
+         "--scheme c1 does not read --r"),
+        (["construct", "--scheme", "mds", "--n", "7", "--r", "5", "--b1", "3", "--h", "1,1"],
+         "--scheme mds does not read --b1, --h"),
+        (["construct", "--scheme", "cyclic", "--n", "7", "--q", "2", "--h", "1,0,1,1,1",
+          "--b2", "1"], "--scheme cyclic does not read --b2"),
+        (stream + ["--source", "periodic", "--periods", "3", "--slots", "5"],
+         "--source periodic does not read --slots"),
+        (stream + ["--source", "ge", "--periods", "3"] + ge,
+         "--source ge does not read --periods"),
+    ):
+        rc, doc = _run_json(capsys, argv)
+        assert rc == 2, argv
+        assert doc["error"] == {"type": "BadParameters", "message": message}
+
+
 def test_simulate_requires_seed_and_source(capsys, tmp_path):
     path = _write_mds72(capsys, tmp_path)
     rc = main(["simulate", "--code", path, "--source", "periodic", "--periods", "3"])
