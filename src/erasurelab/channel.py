@@ -290,33 +290,41 @@ def can_recover(code: LinearCode, pattern: ErasurePattern) -> bool:
     return columns_independent(code.h, pattern.support)
 
 
-def _decoder(code: LinearCode):
-    """decode_erasures for one code, reducing H once per erased set met."""
-    f, h = code.field, code.h.data
-    maps: dict = {}
+def _erasure_map(code: LinearCode, erased):
+    """The (M, C) map of _recovery for the erased positions of code, or None
+    when their columns are dependent."""
+    try:
+        return _recovery(code.field, code.h.data, erased)
+    except DependentColumns:
+        return None
 
-    def decode(received) -> list[int]:
-        received = list(received)
-        if len(received) != code.n:
-            raise LengthMismatch(f"received word has length {len(received)}, n={code.n}")
-        erased = tuple(i for i, v in enumerate(received) if v is None)
-        y = [f.check(v) for v in received if v is not None]
-        if erased not in maps:
-            try:
-                maps[erased] = _recovery(f, h, erased)
-            except DependentColumns:
-                maps[erased] = None
-        if maps[erased] is None:
-            raise Unrecoverable(f"erasures at {list(erased)} are not recoverable")
-        m, c = maps[erased]
-        if any(f.dot(row, y) for row in c):
-            raise InconsistentSyndrome("known symbols contradict the code" if erased
-                                       else "received word is not a codeword")
-        for i, row in zip(erased, m):
-            received[i] = f.neg(f.dot(row, y))
-        return received
 
-    return decode
+def _erased_values(field, recovery, words, wanted) -> list[list[int]]:
+    """The erased symbols of a batch of received words that share one erased
+    set, from its (M, C) map recovery: for each index i in wanted, erased
+    symbol i of every word, -M[i]·y for the known symbols y of the word.
+
+    Raises InconsistentSyndrome when C·y is nonzero for any word.
+    """
+    submul, size = field.submul, len(words)
+    known = [col for col in zip(*words) if col[0] is not None]
+
+    def times(rows):
+        # -row·y for every word, one submul per nonzero coefficient
+        out = []
+        for row in rows:
+            acc = [0] * size
+            for coef, col in zip(row, known):
+                if coef:
+                    acc = submul(acc, coef, col)
+            out.append(acc)
+        return out
+
+    m, c = recovery
+    if any(map(any, times(c))):
+        raise InconsistentSyndrome("known symbols contradict the code" if m
+                                   else "received word is not a codeword")
+    return times([m[i] for i in wanted])
 
 
 def decode_erasures(code: LinearCode, received) -> list[int]:
@@ -325,7 +333,20 @@ def decode_erasures(code: LinearCode, received) -> list[int]:
     Raises Unrecoverable when the erased columns are dependent and
     InconsistentSyndrome when the known symbols already contradict the code.
     """
-    return _decoder(code)(received)
+    received = list(received)
+    if len(received) != code.n:
+        raise LengthMismatch(f"received word has length {len(received)}, n={code.n}")
+    f = code.field
+    erased = [i for i, v in enumerate(received) if v is None]
+    for v in received:
+        if v is not None:
+            f.check(v)
+    recovery = _erasure_map(code, erased)
+    if recovery is None:
+        raise Unrecoverable(f"erasures at {erased} are not recoverable")
+    for i, (x,) in zip(erased, _erased_values(f, recovery, [received], range(len(erased)))):
+        received[i] = x
+    return received
 
 
 def _verify_family(code: LinearCode, walk, cover, size) -> VerificationReport:

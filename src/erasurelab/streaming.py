@@ -8,20 +8,30 @@ parity symbol of each of the n-k most recent diagonals after that. Messages
 before time 0 are zero. A whole erased packet erases one coordinate in each
 of the n diagonals crossing it; each diagonal is decoded (if possible) when
 its last symbol arrives.
+
+Encoding and decoding work on whole columns of the stream with the field's
+row primitives. Parity position j of every slot is one sum of at most k
+shifted message columns. A diagonal's recoverability depends only on which
+of its positions were erased, so the decoder plans the diagonals to decode
+on erased sets alone, then solves each group of diagonals that share an
+erased set from one reduction of H. Symbols are checked once, when a
+PacketStream is built from outside the package.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 
-from .algebra import _json_int, columns_independent
+from .algebra import _json_int, columns_independent, field_make
 from .channel import (
     ChannelParams,
     VerificationReport,
     _admissible_supports,
-    _decoder,
+    _erased_values,
+    _erasure_map,
     _mask,
     _mask_admissible,
     _verify_family,
@@ -36,7 +46,6 @@ from .errors import (
     LengthMismatch,
     NotSystematic,
     ParameterViolation,
-    Unrecoverable,
     UnsupportedDelay,
 )
 
@@ -66,6 +75,9 @@ class PacketStream:
     packets has message_count + n - 1 entries so every diagonal that carries
     a real message is complete. erased holds slot indices whose packets were
     lost; the decoder never reads those entries.
+
+    The constructor checks every symbol once, so the decoder checks none.
+    Streams the package encodes itself skip that check (see _stream).
     """
 
     q: int
@@ -76,23 +88,48 @@ class PacketStream:
     erased: frozenset[int]
 
     def __post_init__(self):
-        if len(self.packets) != self.message_count + self.n - 1:
+        for name in ("q", "n", "k", "message_count"):
+            _json_int(getattr(self, name), name)
+        if self.message_count < 1 or not 1 <= self.k <= self.n:
+            raise BadParameters(f"need message_count >= 1 and 1 <= k <= n, got message_count="
+                                f"{self.message_count}, k={self.k}, n={self.n}")
+        try:
+            packets = tuple(map(tuple, self.packets))
+            erased = frozenset(self.erased)
+        except TypeError:
+            raise BadParameters("packets must be a list of symbol lists and erased a set "
+                                f"of slots, got {self.packets!r} and {self.erased!r}") from None
+        object.__setattr__(self, "packets", packets)
+        object.__setattr__(self, "erased", erased)
+        if len(packets) != self.message_count + self.n - 1:
             raise DimensionMismatch("packet count must be message_count + n - 1")
-        if any(len(p) != self.n for p in self.packets):
+        if any(len(p) != self.n for p in packets):
             raise DimensionMismatch("every packet must carry n symbols")
-        for t in self.erased:
-            if not 0 <= _json_int(t, "erased slot index") < len(self.packets):
-                raise BadParameters("erased slot index out of range")
+        check = field_make(self.q).check
+        for p in packets:
+            for x in p:
+                check(x)
+        _check_erased(erased, len(packets))
 
     def with_erasures(self, indices) -> "PacketStream":
-        return PacketStream(
-            self.q,
-            self.n,
-            self.k,
-            self.message_count,
-            self.packets,
-            frozenset(_json_int(i, "erased slot index") for i in indices),
-        )
+        erased = frozenset(_json_int(i, "erased slot index") for i in indices)
+        _check_erased(erased, len(self.packets))
+        return _stream(self.q, self.n, self.k, self.message_count, self.packets, erased)
+
+
+def _check_erased(erased, slots: int) -> None:
+    """BadParameters unless every erased slot is an integer in [0, slots)."""
+    for t in erased:
+        if not 0 <= _json_int(t, "erased slot index") < slots:
+            raise BadParameters("erased slot index out of range")
+
+
+def _stream(*values) -> PacketStream:
+    """A PacketStream of packets the package built itself, made from its
+    field values without the constructor's checks."""
+    stream = object.__new__(PacketStream)
+    stream.__dict__.update(zip((f.name for f in fields(PacketStream)), values))
+    return stream
 
 
 @dataclass(frozen=True)
@@ -132,32 +169,44 @@ def de_encode(code: LinearCode, messages) -> PacketStream:
     Raises NotSystematic when the code has no [I_k | P] generator.
     """
     _require_systematic(code)
+    f, k = code.field, code.k
+    try:
+        msgs = [tuple(vec) for vec in messages]
+    except TypeError:
+        raise BadParameters(f"messages must be a list of symbol lists, got {messages!r}") from None
+    for vec in msgs:
+        for x in vec:
+            f.check(x)
+        if len(vec) != k:
+            raise LengthMismatch(f"message must have k={k} symbols, got {len(vec)}")
+    if not msgs:
+        raise BadParameters("need at least one message packet")
+    return _encode(code, msgs)
+
+
+def _encode(code: LinearCode, msgs) -> PacketStream:
+    """de_encode of messages known to be k field elements each, for a code
+    known to be systematic, column by column over the whole stream."""
     g = generator_matrix(code).data
     f = code.field
     n, k = code.n, code.k
-    msgs = []
-    for vec in messages:
-        vec = [f.check(x) for x in vec]
-        if len(vec) != k:
-            raise LengthMismatch(f"message must have k={k} symbols, got {len(vec)}")
-        msgs.append(tuple(vec))
-    if not msgs:
-        raise BadParameters("need at least one message packet")
-    t_count = len(msgs)
-    # message t sits at u[t + n - 1]; the zero messages around it stand for
-    # the ones before time 0 and after the last
-    pad = [(0,) * k] * (n - 1)
-    u = pad + msgs + pad
-    # diagonal d carries u[d][0], u[d + 1][1], ..., u[d + k - 1][k - 1] and
-    # puts its position j in slot d + j - (n - 1)
-    slots = t_count + n - 1
-    diagonals = [[u[d + i][i] for i in range(k)] for d in range(slots + n - 1 - k)]
-    parity = [
-        [f.dot(x, col) for x in diagonals[n - 1 - j : n - 1 - j + slots]]
-        for j, col in enumerate(list(zip(*g))[k:], k)
-    ]
-    packets = tuple(m + p for m, p in zip(u[n - 1 :], zip(*parity)))
-    return PacketStream(f.q, n, k, t_count, packets, frozenset())
+    slots = len(msgs) + n - 1
+    # message column i with the zero messages before time 0 and after the
+    # last, so that u_i(t) sits at index t + n - 1
+    pad = (0,) * (n - 1)
+    cols = [pad + col + pad for col in zip(*msgs)]
+    # diagonal d puts its position j in slot d + j, so parity j of slot s is
+    # the sum over i of G[i][j] u_i(s - j + i)
+    parity = []
+    for j in range(k, n):
+        acc = [0] * slots
+        for i, col in enumerate(cols):
+            if g[i][j]:
+                start = n - 1 - j + i
+                acc = f.submul(acc, f.neg(g[i][j]), col[start : start + slots])
+        parity.append(acc)
+    packets = tuple(zip(*(col[n - 1 : n - 1 + slots] for col in cols), *parity))
+    return _stream(f.q, n, k, len(msgs), packets, frozenset())
 
 
 def _diagonal_word(stream: PacketStream, d: int):
@@ -171,45 +220,66 @@ def _diagonal_word(stream: PacketStream, d: int):
 
 
 def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -> DecodeTrace:
-    """Decode every message packet, diagonal by diagonal.
+    """Decode every message packet from the diagonals crossing it.
 
     A lost message packet is rebuilt from the k diagonals crossing it; each
     diagonal is decoded at its completion slot, so a rebuilt message t is
     available at slot t + n - 1. Messages whose diagonals are unrecoverable
     are reported as failed (times[t] is None).
+
+    Whether a diagonal is recoverable depends only on which of its positions
+    were erased. So the diagonals to decode are planned on erased sets alone,
+    grouped by erased set, and each group is solved at once from one
+    reduction of H. Raises InconsistentSyndrome when the known symbols of a
+    planned diagonal contradict the code.
     """
     if code.n != stream.n or code.k != stream.k or code.field.q != stream.q:
         raise DimensionMismatch("stream was not produced by this code")
     n, k = stream.n, stream.k
     t_count = stream.message_count
-    decode = _decoder(code)
-    diag_cache: dict[int, list | None] = {}
-
-    def decode_diag(d: int):
-        # every diagonal asked for crosses an erased message slot
-        if d not in diag_cache:
-            try:
-                diag_cache[d] = decode(_diagonal_word(stream, d))
-            except Unrecoverable:
-                diag_cache[d] = None
-        return diag_cache[d]
-
+    lost, full = _mask(stream.erased), (1 << n) - 1
+    # plan: the diagonals through each lost message, up to the first that is
+    # not recoverable, grouped by the mask of their erased positions
+    maps: dict[int, tuple | None] = {}
+    groups: dict[int, set[int]] = {}
+    rebuilt = {}
+    for t in stream.erased:
+        if t >= t_count:
+            continue
+        for j in range(k):
+            d = t - j
+            erased = (lost >> d if d >= 0 else lost << -d) & full
+            if erased not in maps:
+                maps[erased] = _erasure_map(code, [i for i in range(n) if erased >> i & 1])
+            if maps[erased] is None:
+                break
+            groups.setdefault(erased, set()).add(d)
+        else:
+            rebuilt[t] = [None] * k
+    # apply: each group's map to all its diagonals at once, for the erased
+    # message symbols only
+    for erased, group in groups.items():
+        diagonals = list(group)
+        words = [_diagonal_word(stream, d) for d in diagonals]
+        positions = [i for i in range(n) if erased >> i & 1]
+        wanted = [i for i, j in enumerate(positions) if j < k]
+        for i, xs in zip(wanted, _erased_values(code.field, maps[erased], words, wanted)):
+            j = positions[i]
+            for d, x in zip(diagonals, xs):
+                if d + j in rebuilt:
+                    rebuilt[d + j][j] = x
     times = []
     messages = []
     for t in range(t_count):
         if t not in stream.erased:
             times.append(t)
             messages.append(tuple(stream.packets[t][:k]))
-            continue
-        parts = []
-        for j in range(k):
-            cw = decode_diag(t - j)
-            if cw is None:
-                break
-            parts.append(cw[j])
-        done = len(parts) == k
-        times.append(t + n - 1 if done else None)
-        messages.append(tuple(parts) if done else None)
+        elif t in rebuilt:
+            times.append(t + n - 1)
+            messages.append(tuple(rebuilt[t]))
+        else:
+            times.append(None)
+            messages.append(None)
     deadlines = tuple(t + params.tau for t in range(t_count))
     misses = tuple(
         tm is not None and tm > dl for tm, dl in zip(times, deadlines)
@@ -223,14 +293,12 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
 
 
 def _count_inadmissible_windows(loss, length: int, params: ChannelParams) -> int:
+    """How many length-w windows of the loss sequence are inadmissible, each
+    distinct window mask decided once."""
     mask, w = _mask(loss), params.w
     wfull = (1 << w) - 1
-    bad = 0
-    for s in range(max(length - w, 0) + 1):
-        wm = (mask >> s) & wfull
-        if wm and not _mask_admissible(wm, params):
-            bad += 1
-    return bad
+    windows = Counter((mask >> s) & wfull for s in range(max(length - w, 0) + 1))
+    return sum(c for wm, c in windows.items() if wm and not _mask_admissible(wm, params))
 
 
 def is_stream_admissible(loss, length: int, params: ChannelParams) -> bool:
@@ -383,7 +451,8 @@ def simulate(code: LinearCode, params: StreamingParams, source, seed: int) -> di
         raise BadParameters(f"{slots} slots leave no room for messages (n={n})")
     rng = random.Random(_json_int(seed, "seed") ^ _MESSAGE_SEED_SALT)
     msgs = [[rng.randrange(code.field.q) for _ in range(k)] for _ in range(t_count)]
-    stream = de_encode(code, msgs).with_erasures(loss)
+    _require_systematic(code)
+    stream = _encode(code, msgs).with_erasures(loss)
     trace = de_decode(stream, code, params)
     for sent, got in zip(msgs, trace.messages):
         if got is not None and tuple(sent) != got:

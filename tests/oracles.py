@@ -8,7 +8,9 @@ replaced them, and the exhaustive [P | I] search as it was when each chunk
 rebuilt its pattern family from a tag, and the minimum-distance subset search
 and per-pattern independence loop that one prefix-sharing walk replaced, and
 the syndrome-then-solve erasure decoder and right-systematic-form generator
-that one erased-coordinate map replaced.
+that one erased-coordinate map replaced, and the stream encoder and decoder
+that worked one diagonal at a time before both moved to whole-stream row
+operations.
 They are deliberately left as they were: tests run both sides
 on the same inputs and require identical matrices, solutions, verdicts,
 pattern orders, exception types and messages.
@@ -39,6 +41,7 @@ from erasurelab.errors import (
     TooLarge,
     Unrecoverable,
 )
+from erasurelab.streaming import DecodeTrace, PacketStream
 
 _SUBSET_CAP = 1 << 20
 _SEARCH_CAP = 1 << 24
@@ -268,6 +271,93 @@ def systematic_generator(code) -> Matrix:
         row += [f.neg(hs.data[r][i]) for r in range(code.n - k)]
         rows.append(row)
     return Matrix(f, rows)
+
+
+def de_encode(code, messages):
+    """One dot product per diagonal and parity position, over the [I_k | P]
+    generator; the stream is built through the checking constructor."""
+    g = systematic_generator(code).data
+    f = code.field
+    n, k = code.n, code.k
+    msgs = []
+    for vec in messages:
+        vec = [f.check(x) for x in vec]
+        if len(vec) != k:
+            raise LengthMismatch(f"message must have k={k} symbols, got {len(vec)}")
+        msgs.append(tuple(vec))
+    if not msgs:
+        raise BadParameters("need at least one message packet")
+    t_count = len(msgs)
+    # message t sits at u[t + n - 1]; the zero messages around it stand for
+    # the ones before time 0 and after the last
+    pad = [(0,) * k] * (n - 1)
+    u = pad + msgs + pad
+    # diagonal d carries u[d][0], u[d + 1][1], ..., u[d + k - 1][k - 1] and
+    # puts its position j in slot d + j - (n - 1)
+    slots = t_count + n - 1
+    diagonals = [[u[d + i][i] for i in range(k)] for d in range(slots + n - 1 - k)]
+
+    def dot(x, col):
+        acc = 0
+        for a, b in zip(x, col):
+            acc = f.add(acc, f.mul(a, b))
+        return acc
+
+    parity = [
+        [dot(x, col) for x in diagonals[n - 1 - j : n - 1 - j + slots]]
+        for j, col in enumerate(list(zip(*g))[k:], k)
+    ]
+    packets = tuple(m + p for m, p in zip(u[n - 1 :], zip(*parity)))
+    return PacketStream(f.q, n, k, t_count, packets, frozenset())
+
+
+def diagonal_word(stream, d: int):
+    """Received view (None = erased) of the diagonal started at time d."""
+    return [
+        0 if d + j < 0  # pre-stream symbols come from all-zero messages
+        else None if d + j in stream.erased
+        else stream.packets[d + j][j]
+        for j in range(stream.n)
+    ]
+
+
+def de_decode(stream, code, params):
+    """Each lost message rebuilt from its k diagonals in turn, each diagonal
+    decoded alone (once) by decode_erasures, stopping at the first that is
+    not recoverable."""
+    if code.n != stream.n or code.k != stream.k or code.field.q != stream.q:
+        raise DimensionMismatch("stream was not produced by this code")
+    n, k = stream.n, stream.k
+    t_count = stream.message_count
+    diag_cache: dict = {}
+
+    def decode_diag(d: int):
+        if d not in diag_cache:
+            try:
+                diag_cache[d] = decode_erasures(code, diagonal_word(stream, d))
+            except Unrecoverable:
+                diag_cache[d] = None
+        return diag_cache[d]
+
+    times = []
+    messages = []
+    for t in range(t_count):
+        if t not in stream.erased:
+            times.append(t)
+            messages.append(tuple(stream.packets[t][:k]))
+            continue
+        parts = []
+        for j in range(k):
+            cw = decode_diag(t - j)
+            if cw is None:
+                break
+            parts.append(cw[j])
+        done = len(parts) == k
+        times.append(t + n - 1 if done else None)
+        messages.append(tuple(parts) if done else None)
+    deadlines = tuple(t + params.tau for t in range(t_count))
+    misses = tuple(tm is not None and tm > dl for tm, dl in zip(times, deadlines))
+    return DecodeTrace(tuple(times), deadlines, misses, tuple(messages))
 
 
 def _n_choose(n: int, k: int) -> int:

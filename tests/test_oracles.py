@@ -259,6 +259,75 @@ def test_de_decode_flags_a_tampered_parity_symbol():
     assert _outcome(de_decode, tampered, code, StreamingParams(ch, 8)) == ref
 
 
+def _stream_codes(rng, q):
+    """MDS codes, random systematic codes [P | I] and codes [I | P] whose
+    last column is zero, so that no [I_k | P] generator exists."""
+    f = field_make(q)
+    for n in range(2, min(q, 9) + 1):
+        yield mds_code(n, rng.randint(1, n - 1), q)
+    for _ in range(6):
+        n = rng.randint(2, 9)
+        r = rng.randint(1, n - 1)
+        yield LinearCode(Matrix(f, _systematic_rows(rng, q, n - r, r)))
+    n = rng.randint(3, 8)
+    r = rng.randint(1, n - 1)
+    rows = [[int(t == i) for t in range(r)] + [rng.randrange(q) for _ in range(n - r)]
+            for i in range(r)]
+    for row in rows:
+        row[-1] = 0
+    yield LinearCode(Matrix(f, rows))
+
+
+def _losses(rng, slots):
+    """Random, periodic and saturated loss sets over every slot, the tail
+    slots past the last message included."""
+    yield {t for t in range(slots) if rng.random() < rng.choice((0.1, 0.3, 0.6))}
+    period = rng.randint(2, 10)
+    span = rng.randint(1, period - 1)
+    yield {t for t in range(slots) if t % period < span}
+    start = rng.randrange(slots)
+    yield set(range(start, rng.randint(start, slots)))
+    yield set(range(slots))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9) + BIG_FIELDS)
+def test_stream_coding_matches_per_diagonal_reference(q):
+    """Whole-stream encode and decode against the per-diagonal reference:
+    equal packets, equal traces and equal errors, on clean and on tampered
+    streams."""
+    rng = random.Random(8000 + q)
+    params = StreamingParams(ChannelParams(0, 1, 1, 3), 2)
+    kinds = set()
+    for code in _stream_codes(rng, q):
+        for _ in range(4):
+            count = rng.randint(1, 40)
+            msgs = [[rng.randrange(q) for _ in range(code.k)] for _ in range(count)]
+            if rng.random() < 0.1:  # a bad symbol or a short message
+                msgs[rng.randrange(count)] = rng.choice(([q] * code.k, [0] * (code.k + 1)))
+            encoded = _outcome(de_encode, code, msgs)
+            assert encoded == _outcome(oracles.de_encode, code, msgs)
+            if encoded[0] != "ok":
+                kinds.add(encoded[1].__name__)
+                continue
+            stream = encoded[1]
+            for loss in _losses(rng, len(stream.packets)):
+                lossy = stream.with_erasures(loss)
+                if rng.random() < 0.5 and loss:
+                    # a parity symbol on a diagonal through a lost slot
+                    packets = [list(p) for p in lossy.packets]
+                    j = rng.randrange(code.k, code.n)
+                    s = min(rng.choice(sorted(loss)) + rng.randrange(j + 1), len(packets) - 1)
+                    packets[s][j] = code.field.add(packets[s][j], rng.randrange(1, q))
+                    lossy = PacketStream(q, code.n, code.k, count, packets, lossy.erased)
+                decoded = _outcome(de_decode, lossy, code, params)
+                assert decoded == _outcome(oracles.de_decode, lossy, code, params)
+                if decoded[0] == "raise":
+                    kinds.add(decoded[1].__name__)
+                else:
+                    kinds.add("failed" if decoded[1].messages_failed else "ok")
+    assert kinds >= {"ok", "failed", "InconsistentSyndrome", "NotSystematic"}
+
+
 # ---------------------------------------------------------------------------
 # pattern families: burst/union builder and lazy window walk
 # ---------------------------------------------------------------------------

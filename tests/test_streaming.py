@@ -6,7 +6,7 @@ import random
 import pytest
 
 from erasurelab import channel, streaming
-from erasurelab.algebra import Matrix, field_make
+from erasurelab.algebra import Field, Matrix, field_make
 from erasurelab.channel import ChannelParams, ErasurePattern
 from erasurelab.codes import LinearCode, construction_one, generator_matrix, mds_code
 from erasurelab.errors import (
@@ -163,6 +163,63 @@ def test_packet_stream_validation():
     lossy = stream.with_erasures((0, 5))
     assert lossy.erased == frozenset({0, 5})
     assert stream.erased == frozenset()  # original untouched
+
+
+@pytest.mark.parametrize("symbol", [3, -1, True, 1.0, "1"])
+def test_packet_stream_rejects_a_non_element(symbol):
+    packets = [list(p) for p in de_encode(CODE831, [(1, 2, 0, 1)]).packets]
+    packets[4][6] = symbol
+    with pytest.raises(BadParameters, match="is not an element of GF"):
+        PacketStream(3, 8, 4, 1, packets, frozenset())
+
+
+@pytest.mark.parametrize("field", ["q", "n", "k", "message_count"])
+@pytest.mark.parametrize("value", ["x", 3.0, True, None])
+def test_packet_stream_rejects_non_integer_sizes(field, value):
+    sizes = {"q": 3, "n": 8, "k": 4, "message_count": 1, field: value}
+    packets = de_encode(CODE831, [(1, 2, 0, 1)]).packets
+    with pytest.raises(BadParameters, match=f"{field} must be an integer"):
+        PacketStream(**sizes, packets=packets, erased=frozenset())
+
+
+@pytest.mark.parametrize("sizes", [(3, 8, 4, -1), (3, 8, 4, 0), (3, 8, 9, 1), (3, 8, 0, 1)])
+def test_packet_stream_rejects_sizes_out_of_range(sizes):
+    """A count and shape whose packet count still adds up are refused too."""
+    q, n, k, count = sizes
+    with pytest.raises(BadParameters, match="need message_count >= 1 and 1 <= k <= n"):
+        PacketStream(q, n, k, count, ((0,) * n,) * max(count + n - 1, 0), frozenset())
+
+
+@pytest.mark.parametrize("packets, erased", [(5, ()), (None, ()), ((1, 2), ()), ("ok", 5),
+                                             ("ok", None), ("ok", [[1]])])
+def test_packet_stream_rejects_packets_or_erasures_that_are_not_lists(packets, erased):
+    if packets == "ok":
+        packets = de_encode(CODE831, [(1, 2, 0, 1)]).packets
+    with pytest.raises(BadParameters, match="packets must be a list of symbol lists and erased"):
+        PacketStream(3, 8, 4, 1, packets, erased)
+
+
+@pytest.mark.parametrize("messages", [5, [5], None, [None]])
+def test_de_encode_rejects_messages_that_are_not_lists(messages):
+    with pytest.raises(BadParameters, match="messages must be a list of symbol lists"):
+        de_encode(CODE831, messages)
+
+
+def test_decoding_checks_symbols_only_at_the_boundary(monkeypatch):
+    """A stream the package encoded is decoded with no Field.check call; a
+    word handed to decode_erasures is still checked."""
+    msgs = _random_messages(4, 3, 30, seed=5)
+    stream = de_encode(CODE831, msgs).with_erasures((1, 2, 3, 12, 20))
+    calls = []
+    check = Field.check
+    monkeypatch.setattr(Field, "check", lambda self, x: calls.append(x) or check(self, x))
+    trace = de_decode(stream, CODE831, PARAMS831)
+    assert trace.messages == tuple(msgs) and calls == []
+    word = list(stream.packets[8])
+    word[0], word[1] = None, 3
+    with pytest.raises(BadParameters, match="3 is not an element of GF"):
+        channel.decode_erasures(CODE831, word)
+    assert 3 in calls
 
 
 @pytest.mark.parametrize("indices", [[1.5], ["2"], [True], [1, True], [1.0, 2]])
