@@ -10,6 +10,7 @@ which is what every verifier in :mod:`erasurelab.channel` checks.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .algebra import (
     Matrix,
@@ -261,14 +262,20 @@ _ENUM_CAP = 1 << 16
 
 
 def min_distance(code: LinearCode) -> int:
-    """Exact minimum distance.
+    """Exact minimum distance, by the exact path with less work.
 
-    Enumerates the q^k codewords when that is small, otherwise searches for
-    the smallest dependent column subset of H (the minimum distance equals the
-    smallest s such that some s columns are dependent).
+    One path enumerates the codewords up to scaling, (q^k - 1)/(q - 1) of
+    them, and runs only when q^k is within its cap. The other searches for
+    the smallest dependent column subset of H (the minimum distance equals
+    the smallest s such that some s columns are dependent), which pushes at
+    most the C(n, s) subsets of each size s <= n - k + 1, and runs only for
+    n <= 24. The enumeration is taken when it is no more work than that
+    bound; for n > 24 and q^k within the cap it always is.
     """
     q, k, n = code.field.q, code.k, code.n
-    if q**k <= _ENUM_CAP:
+    if q**k <= _ENUM_CAP and (q**k - 1) // (q - 1) <= sum(
+        math.comb(n, s) for s in range(1, n - k + 2)
+    ):
         return _min_weight_enum(code)
     if n > 24:
         raise TooLarge(f"q^k = {q**k} and n = {n}: both exact strategies exceed caps")

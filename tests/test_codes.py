@@ -2,6 +2,7 @@
 invariants, and JSON round-trips."""
 
 import itertools
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from erasurelab.codes import (
     mds_code,
     min_distance,
 )
-from erasurelab.codes import _min_dist_subsets
+from erasurelab.codes import _ENUM_CAP, _min_dist_subsets, _min_weight_enum
 from erasurelab.errors import (
     BadFieldOverride,
     BadParameters,
@@ -25,6 +26,7 @@ from erasurelab.errors import (
     LengthTooSmall,
     NotCyclic,
     StructureViolation,
+    TooLarge,
 )
 
 # The frozen two-burst construction at (n, b1, b2) = (8, 3, 1) over GF(3):
@@ -212,15 +214,60 @@ def test_cyclic_codes_are_shift_closed(n, q, h):
         assert _syndrome_zero(code, shifted)
 
 
+def _random_codes(rng, count):
+    """Random full-rank codes over GF(2..9) with n <= 12 and q^k <= 4096,
+    so both exact paths stay cheap whichever min_distance takes."""
+    while count:
+        q = rng.choice((2, 3, 4, 5, 7, 8, 9))
+        n = rng.randrange(2, 13)
+        k = rng.randrange(1, n)
+        if q**k > 4096:
+            continue
+        h = Matrix(field_make(q), [[rng.randrange(q) for _ in range(n)] for _ in range(n - k)])
+        if mat_rank(h) == n - k:
+            count -= 1
+            yield LinearCode(h)
+
+
 def test_min_distance_enum_and_subset_paths_agree():
+    """min_distance picks a path by its work; both must give its answer, on
+    fixed codes, acceptance 03's two-burst sweep and random codes. The
+    enumeration runs only where q^k is within its cap: past it, on 10 of
+    the sweep's points, it would walk up to 13^10 / 12 codewords."""
+    sweep = [
+        construction_one(n, b1, b2)
+        for b1 in range(1, 5)
+        for b2 in range(1, b1 + 1)
+        if b1 % b2 == 0
+        for n in range(b1 + b2 + 1, 13)
+    ]
+    assert len(sweep) == 58
     for code in [
         construction_one(8, 3, 1),
         construction_one(6, 2, 1),
         construction_one_binary(8, 3, 1),
         mds_code(6, 4),
         cyclic_from_h(7, 2, (1, 0, 1, 1, 1)),
+        *sweep,
+        *_random_codes(random.Random(20), 300),
     ]:
-        assert min_distance(code) == _min_dist_subsets(code)
+        d = min_distance(code)
+        assert d == _min_dist_subsets(code), code
+        if code.field.q**code.k <= _ENUM_CAP:
+            assert d == _min_weight_enum(code), code
+
+
+def test_min_distance_keeps_its_too_large_edge():
+    with pytest.raises(TooLarge):
+        min_distance(mds_code(26, 2))
+    # k = 2, n = 25 over GF(2): H = [P | I_23], P with 11 rows (1, 0), 11
+    # rows (0, 1) and one (1, 1), so the three nonzero codewords weigh 13,
+    # 13 and 24
+    p = [(1, 0)] * 11 + [(0, 1)] * 11 + [(1, 1)]
+    rows = [list(p[i]) + [int(t == i) for t in range(23)] for i in range(23)]
+    code = LinearCode(Matrix(field_make(2), rows))
+    assert (code.n, code.k) == (25, 2)
+    assert min_distance(code) == 13
 
 
 def test_min_distance_cyclic_fixtures():

@@ -6,9 +6,10 @@ str constants, and no function rebinds module state through ``global``.
 public re-exports. Every method or property defined on a class is read as an
 attribute somewhere in the package (a static method through its own class),
 and neither importing the package and its CLI nor running a search with
-several workers loads process-pool machinery. Every
-function the benchmark tracer wraps by name exists in the package, and so
-does every ``Field`` method it wraps through ``vars(Field)``."""
+several workers loads process-pool machinery. No cached function is
+annotated to return a list, dict or set. Every function the benchmark
+tracer wraps by name exists in the package, and so does every ``Field``
+method it wraps through ``vars(Field)``."""
 
 import ast
 import inspect
@@ -191,6 +192,32 @@ def test_module_level_binds_only_constants():
         and node.value is not None
         and type(_constant(node.value)) not in (int, str)
     ]
+    assert found == []
+
+
+def _is_cache(decorator):
+    """True for lru_cache and cache, called or bare, through functools or not."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def test_cached_functions_return_no_mutable_container():
+    """A cached value is handed to every caller, so one caller changing it
+    changes it for the next, as module-level state would be: each cached
+    function is annotated to return something other than a list, a dict or
+    a set."""
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                map(_is_cache, node.decorator_list)
+            ):
+                ret = ast.unparse(node.returns) if node.returns else ""
+                outer = ret.strip("'\"").split("[")[0].rsplit(".", 1)[-1]
+                if outer.lower() in ("", "list", "dict", "set"):
+                    found.append(f"{name}:{node.lineno}: {node.name} -> {ret or None}")
     assert found == []
 
 
