@@ -160,11 +160,9 @@ def _window_count(params: ChannelParams) -> int:
     return sum(1 for _ in _admissible_supports(params))
 
 
-@lru_cache(maxsize=None)
-def _window_cover(params: ChannelParams) -> tuple[tuple[int, ...], ...]:
+def _window_cover(params: ChannelParams) -> list[tuple[int, ...]]:
     """A cover of the admissible window supports, sorted: each length-b burst
     with e indices outside it, and each a-subset that no burst covers up to e.
-    Built once per channel and kept, like _window_count.
 
     Every admissible E lies inside one of them. If some burst B leaves at
     most e of E outside it, pad E minus B to e indices outside B (w - b > e
@@ -187,7 +185,7 @@ def _window_cover(params: ChannelParams) -> tuple[tuple[int, ...], ...]:
         m = sum(sub)
         if all((m & ~bm).bit_count() > e for bm in bursts):
             masks.add(m)
-    return tuple(_supports(w, masks))
+    return _supports(w, masks)
 
 
 def enumerate_admissible_windows(params: ChannelParams) -> list[ErasurePattern]:
@@ -219,31 +217,24 @@ def _unions(n: int, xs, ys) -> list[tuple[int, ...]]:
     return _supports(n, {x | y for x in xs for y in ys})
 
 
-@lru_cache(maxsize=None)
 def _burst_pairs(
-    n: int, b1: int, b2: int, cover: bool, cyclic: bool
-) -> tuple[tuple[int, ...], ...]:
+    n: int, b1: int, b2: int, cover: bool, cyclic: bool = False
+) -> list[tuple[int, ...]]:
     """Unions of a burst of length <= b1 and one of length <= b2; with cover,
     of length exactly b1 and b2. Every shorter burst lies inside a full-length
-    one, so each union lies inside a full-length union. Built once per shape
-    and kept; callers pass all five arguments by position, so one shape has
-    one cache entry."""
+    one, so each union lies inside a full-length union."""
     if cover:
-        return tuple(_unions(n, _bursts(n, [b1], cyclic), _bursts(n, [b2], cyclic)))
-    return tuple(
-        _unions(n, _bursts(n, range(1, b1 + 1), cyclic), _bursts(n, range(1, b2 + 1), cyclic))
-    )
+        return _unions(n, _bursts(n, [b1], cyclic), _bursts(n, [b2], cyclic))
+    return _unions(n, _bursts(n, range(1, b1 + 1), cyclic), _bursts(n, range(1, b2 + 1), cyclic))
 
 
-def _two_bursts(
-    n: int, b1: int, b2: int, cover: bool = False
-) -> tuple[tuple[int, ...], ...]:
+def _two_bursts(n: int, b1: int, b2: int, cover: bool = False) -> list[tuple[int, ...]]:
     if (_json_int(n, "n") < 1 or _json_int(b1, "b1") < 1 or _json_int(b2, "b2") < 1
             or b1 > n or b2 > n):
         raise BadParameters(f"bad burst enumeration parameters n={n}, b1={b1}, b2={b2}")
     if n > _ENUM_N_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
-    return _burst_pairs(n, b1, b2, cover, False)
+    return _burst_pairs(n, b1, b2, cover)
 
 
 def enumerate_b1b2_patterns(n: int, b1: int, b2: int) -> list[ErasurePattern]:
@@ -382,7 +373,7 @@ def _verify_family(code: LinearCode, walk, cover, size) -> VerificationReport:
 def is_b1b2_code(code: LinearCode, b1: int, b2: int) -> VerificationReport:
     """Verify recovery of every two-burst pattern (lengths <= b1 and <= b2)."""
     family = _two_bursts(code.n, b1, b2)
-    cover = partial(_burst_pairs, code.n, b1, b2, True, False)
+    cover = partial(_burst_pairs, code.n, b1, b2, cover=True)
     return _verify_family(code, family.__iter__, cover, family.__len__)
 
 
@@ -398,6 +389,6 @@ def check_wraparound(code: LinearCode, b1: int, b2: int) -> VerificationReport:
         raise BadParameters(f"bad parameters n={n}, b1={b1}, b2={b2}")
     if n > _ENUM_N_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
-    family = _burst_pairs(n, b1, b2, False, True)
-    cover = partial(_burst_pairs, n, b1, b2, True, True)
+    family = _burst_pairs(n, b1, b2, cover=False, cyclic=True)
+    cover = partial(_burst_pairs, n, b1, b2, cover=True, cyclic=True)
     return _verify_family(code, family.__iter__, cover, family.__len__)

@@ -11,11 +11,9 @@ from erasurelab.algebra import Matrix, field_make
 from erasurelab.channel import (
     ChannelParams,
     ErasurePattern,
-    _burst_masks,
     _burst_pairs,
     _burst_plus_random,
     _two_bursts,
-    _window_count,
     _window_cover,
     can_recover,
     check_wraparound,
@@ -355,103 +353,35 @@ def _systematic_code(rng, q, k, r):
     return LinearCode(Matrix(field_make(q), rows))
 
 
-def _dependent_cover_cases():
-    """(kind, verify, args) for random systematic codes over GF(2) and GF(3):
-    streaming verdicts on every channel with w <= 8, two-burst verdicts with
-    n <= 10 and wrap-around verdicts where b1 divides n. Each channel and
-    each shape gets one code per field."""
-    rng = random.Random(18)
-    for q in (2, 3):
-        for params in _window_channels(8):
-            code = _systematic_code(rng, q, params.w - params.b - params.e, params.b + params.e)
-            yield "window", verify_streaming_code, (code, StreamingParams(params, params.w - 1))
-        for n in range(3, 11):
-            for b1 in range(1, n - 1):
-                for b2 in range(1, min(b1, n - 1 - b1) + 1):
-                    code = _systematic_code(rng, q, n - b1 - b2, b1 + b2)
-                    yield "two-burst", is_b1b2_code, (code, b1, b2)
-                    if n % b1 == 0:
-                        yield "wrap-around", check_wraparound, (code, b1, b2)
-
-
 def test_a_dependent_cover_falls_back_to_the_full_walk():
     """Codes whose first witness lies off the walk's first path pass the
     path and fail on the cover, so their reports come from the full walk.
     In these families the first path is (0), (0, 1), ... (after () for
     windows), so a witness is off it unless it is an initial interval."""
-    references = {
-        "window": lambda code, params: oracles.verify_family(
-            code, oracles.enumerate_admissible_windows(params.channel)
-        ),
-        "two-burst": lambda code, b1, b2: oracles.verify_family(
-            code, oracles.enumerate_b1b2_patterns(code.n, b1, b2)
-        ),
-        "wrap-around": oracles.check_wraparound,
-    }
-    reports = {kind: [] for kind in references}
-    for kind, verify, args in _dependent_cover_cases():
-        report = verify(*args)
-        assert report == references[kind](*args)
-        reports[kind].append(report)
+    rng = random.Random(18)
+    reports = {"window": [], "two-burst": [], "wrap-around": []}
+    for q in (2, 3):
+        for params in _window_channels(8):
+            code = _systematic_code(rng, q, params.w - params.b - params.e, params.b + params.e)
+            report = verify_streaming_code(code, StreamingParams(params, params.w - 1))
+            family = oracles.enumerate_admissible_windows(params)
+            assert report == oracles.verify_family(code, family)
+            reports["window"].append(report)
+        for n in range(3, 11):
+            for b1 in range(1, n - 1):
+                for b2 in range(1, min(b1, n - 1 - b1) + 1):
+                    code = _systematic_code(rng, q, n - b1 - b2, b1 + b2)
+                    report = is_b1b2_code(code, b1, b2)
+                    family = oracles.enumerate_b1b2_patterns(n, b1, b2)
+                    assert report == oracles.verify_family(code, family)
+                    reports["two-burst"].append(report)
+                    if n % b1 == 0:
+                        report = check_wraparound(code, b1, b2)
+                        assert report == oracles.check_wraparound(code, b1, b2)
+                        reports["wrap-around"].append(report)
     for kind, reps in reports.items():
         witnesses = [rep.witness.support for rep in reps if not rep.verdict]
         assert any(sup != tuple(range(len(sup))) for sup in witnesses), kind
-
-
-# ---------------------------------------------------------------------------
-# caches: each channel's cover and count and each burst shape's family are
-# built once and shared by every later verdict
-# ---------------------------------------------------------------------------
-
-
-def _is_tuple_of_tuples(value):
-    return type(value) is tuple and all(type(sup) is tuple for sup in value)
-
-
-def test_cached_families_equal_fresh_builds():
-    """A shared value must be the one a fresh build gives, and immutable, so
-    that no caller can change what the next one reads."""
-    channels = _window_channels(11)
-    assert len(channels) == 990
-    for params in channels:
-        cover = _window_cover(params)
-        assert _is_tuple_of_tuples(cover)
-        assert cover == _window_cover.__wrapped__(params)
-        assert _window_cover(params) is cover
-    for n in range(1, 13):
-        for b1, b2 in itertools.product(range(1, n + 1), repeat=2):
-            for cover, cyclic in itertools.product((False, True), repeat=2):
-                family = _burst_pairs(n, b1, b2, cover, cyclic)
-                assert _is_tuple_of_tuples(family)
-                assert family == _burst_pairs.__wrapped__(n, b1, b2, cover, cyclic)
-            assert _two_bursts(n, b1, b2) is _burst_pairs(n, b1, b2, False, False)
-            assert _two_bursts(n, b1, b2, cover=True) is _burst_pairs(n, b1, b2, True, False)
-    # the 2,600 shapes filled here hold tens of megabytes that no later test
-    # reads
-    _burst_pairs.cache_clear()
-
-
-def _cold(verify, *args):
-    """verify(*args) with every channel and burst-shape cache emptied first."""
-    for cache in (_burst_masks, _window_count, _window_cover, _burst_pairs):
-        cache.cache_clear()
-    return verify(*args)
-
-
-def test_warm_caches_give_cold_reports():
-    """Verifying one code twice, and a second code on a channel or shape
-    already seen, reports what a cold cache reports: passing MDS codes on
-    every channel with w <= 9, and the codes of the dependent-cover test,
-    two per channel and per shape."""
-    cases = [
-        ("window", verify_streaming_code, (mds_code(p.w, p.b + p.e), StreamingParams(p, p.w - 1)))
-        for p in _window_channels(9)
-    ]
-    cases += list(_dependent_cover_cases())
-    warm = [verify(*args) for _, verify, args in cases]
-    assert [verify(*args) for _, verify, args in cases] == warm
-    assert [_cold(verify, *args) for _, verify, args in cases] == warm
-    assert any(rep.verdict for rep in warm) and not all(rep.verdict for rep in warm)
 
 
 def test_a_pass_reports_the_family_size():
