@@ -385,6 +385,7 @@ def _log_rows(f: Field):
     return submul, scale, dot
 
 
+# cached per q: each code built, file read, stream checked and search run over GF(q) repeats it
 @lru_cache(maxsize=None, typed=True)
 def field_make(q: int) -> Field:
     """Build (or fetch the cached) GF(q).

@@ -49,10 +49,11 @@ from .algebra import (
 from .channel import (
     ChannelParams,
     ErasurePattern,
+    _burst_extras,
     _burst_plus_random,
     _bursts,
+    _supports,
     _two_bursts,
-    _unions,
 )
 from .codes import CyclicCode, LinearCode, min_distance
 from .errors import (
@@ -286,8 +287,8 @@ def cyclic_report(code: CyclicCode) -> CyclicReport:
     d = min_distance(code)
     if d > bound:
         raise RuntimeError("distance exceeds the zero-run bound; this is a bug")
-    # the bare bursts in this family have d-1 columns, always independent
-    family = _unions(n, _bursts(n, [d - 1]), _bursts(n, [1]))
+    # each (d-1)-burst with one index outside it; a bare one has d-1 columns, always independent
+    family = _supports(n, _burst_extras(n, d - 1, 1))
     bad = _first_dependent(code.field, list(zip(*code.h.data)), family)[1]
     witness = None if bad is None else ErasurePattern(n, bad)
     meets = d == bound
@@ -301,7 +302,7 @@ def cyclic_burst_capability(code: CyclicCode) -> bool:
     if not isinstance(code, CyclicCode):
         raise WrongProvenance("needs a code built by cyclic_from_h")
     n, r = code.n, code.n - code.k
-    family = _unions(n, _bursts(n, [r], cyclic=True), [0])
+    family = _supports(n, set(_bursts(n, [r], cyclic=True)))
     return _first_dependent(code.field, list(zip(*code.h.data)), family)[1] is None
 
 

@@ -110,18 +110,19 @@ def _mask(indices) -> int:
     return sum(1 << i for i in set(indices))
 
 
-@lru_cache(maxsize=None)
-def _burst_masks(w: int, b: int) -> tuple[int, ...]:
-    return tuple(_bursts(w, [b]))
-
-
 def _mask_admissible(mask: int, params: ChannelParams) -> bool:
-    if mask.bit_count() <= params.a:
-        return True
-    e = params.e
-    return any(
-        (mask & ~bm).bit_count() <= e for bm in _burst_masks(params.w, params.b)
-    )
+    return mask.bit_count() <= params.a or _in_burst(mask, params)
+
+
+def _in_burst(mask: int, params: ChannelParams) -> bool:
+    """True iff some length-b window holds all but at most e of the mask."""
+    b, need = params.b, mask.bit_count() - params.e
+    ones = (1 << b) - 1
+    for _ in range(params.w - b + 1):
+        if (mask & ones).bit_count() >= need:
+            return True
+        mask >>= 1
+    return False
 
 
 def is_window_admissible(pattern: ErasurePattern, params: ChannelParams) -> bool:
@@ -154,6 +155,7 @@ def _admissible_supports(params: ChannelParams):
                 stack.append((ext, sup + (i,)))
 
 
+# cached per channel: a process that passes several codes on one channel repeats this walk
 @lru_cache(maxsize=None)
 def _window_count(params: ChannelParams) -> int:
     """How many supports _admissible_supports walks, counted without pushes."""
@@ -173,19 +175,10 @@ def _window_cover(params: ChannelParams) -> list[tuple[int, ...]]:
     larger set needs a burst. For (a, b, e, w) = (3, 3, 1, 9) that keeps
     {0, 4, 8} beside the 4-entry supports.
     """
-    w, b, e = params.w, params.b, params.e
-    bursts = _burst_masks(w, b)
-    bits = [1 << i for i in range(w)]
-    masks = {
-        bm | sum(extra)
-        for bm in bursts
-        for extra in itertools.combinations([x for x in bits if not bm & x], e)
-    }
-    for sub in itertools.combinations(bits, params.a):
-        m = sum(sub)
-        if all((m & ~bm).bit_count() > e for bm in bursts):
-            masks.add(m)
-    return _supports(w, masks)
+    masks = _burst_extras(params.w, params.b, params.e)
+    subsets = map(sum, itertools.combinations([1 << i for i in range(params.w)], params.a))
+    masks.update(m for m in subsets if not _in_burst(m, params))
+    return _supports(params.w, masks)
 
 
 def enumerate_admissible_windows(params: ChannelParams) -> list[ErasurePattern]:
@@ -217,24 +210,30 @@ def _unions(n: int, xs, ys) -> list[tuple[int, ...]]:
     return _supports(n, {x | y for x in xs for y in ys})
 
 
-def _burst_pairs(
-    n: int, b1: int, b2: int, cover: bool, cyclic: bool = False
+def _burst_extras(n: int, b: int, e: int) -> set[int]:
+    """The mask of each length-b burst with min(e, n - b) indices outside it."""
+    bits = [1 << i for i in range(n)]
+    return {
+        bm | sum(extra)
+        for bm in _bursts(n, [b])
+        for extra in itertools.combinations([x for x in bits if not bm & x], min(e, n - b))
+    }
+
+
+def _two_bursts(
+    n: int, b1: int, b2: int, cover: bool = False, cyclic: bool = False
 ) -> list[tuple[int, ...]]:
-    """Unions of a burst of length <= b1 and one of length <= b2; with cover,
-    of length exactly b1 and b2. Every shorter burst lies inside a full-length
-    one, so each union lies inside a full-length union."""
-    if cover:
-        return _unions(n, _bursts(n, [b1], cyclic), _bursts(n, [b2], cyclic))
-    return _unions(n, _bursts(n, range(1, b1 + 1), cyclic), _bursts(n, range(1, b2 + 1), cyclic))
-
-
-def _two_bursts(n: int, b1: int, b2: int, cover: bool = False) -> list[tuple[int, ...]]:
+    """Unions of a burst of length <= b1 and one of length <= b2, wrapping
+    around mod n when cyclic; with cover, of length exactly b1 and b2. Every
+    shorter burst lies inside a full-length one, so each union lies inside a
+    full-length union."""
     if (_json_int(n, "n") < 1 or _json_int(b1, "b1") < 1 or _json_int(b2, "b2") < 1
             or b1 > n or b2 > n):
         raise BadParameters(f"bad burst enumeration parameters n={n}, b1={b1}, b2={b2}")
     if n > _ENUM_N_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
-    return _burst_pairs(n, b1, b2, cover)
+    lengths = ([b1], [b2]) if cover else (range(1, b1 + 1), range(1, b2 + 1))
+    return _unions(n, *(_bursts(n, ls, cyclic) for ls in lengths))
 
 
 def enumerate_b1b2_patterns(n: int, b1: int, b2: int) -> list[ErasurePattern]:
@@ -248,26 +247,20 @@ def enumerate_b1b2_patterns(n: int, b1: int, b2: int) -> list[ErasurePattern]:
 
 def _burst_plus_random(n: int, b: int, e: int, cover: bool = False) -> list[tuple[int, ...]]:
     """Unions of a burst of length <= b with <= e extra indices; with cover,
-    of a length-b burst with min(e, n) of them. Each union lies inside such
-    a full-length one: lengthen the burst and add extras."""
+    of a length-b burst with min(e, n - b) extras outside it. Each union lies
+    inside such a full-length one: lengthen the burst and add extras."""
     if (_json_int(n, "n") < 1 or _json_int(b, "b") < 1 or b > n
             or _json_int(e, "e") < 0):
         raise BadParameters(f"bad parameters n={n}, b={b}, e={e}")
     if n > _ENUM_N_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
     bursts = _bursts(n, range(1, b + 1))
-    approx = len(bursts) * sum(
-        math.comb(n, j) for j in range(min(e, n) + 1)
-    )
+    approx = len(bursts) * sum(math.comb(n, j) for j in range(min(e, n) + 1))
     if approx > 1 << 22:
         raise TooLarge(f"~{approx} raw patterns exceed the enumeration cap")
     if cover:
-        bursts = _bursts(n, [b])
-    extras = [
-        _mask(extra)
-        for j in ([min(e, n)] if cover else range(min(e, n) + 1))
-        for extra in itertools.combinations(range(n), j)
-    ]
+        return _supports(n, _burst_extras(n, b, e))
+    extras = [_mask(x) for j in range(min(e, n) + 1) for x in itertools.combinations(range(n), j)]
     return _unions(n, bursts, extras)
 
 
@@ -333,7 +326,10 @@ def decode_erasures(code: LinearCode, received) -> list[int]:
     Raises Unrecoverable when the erased columns are dependent and
     InconsistentSyndrome when the known symbols already contradict the code.
     """
-    received = list(received)
+    try:
+        received = list(received)
+    except TypeError:
+        raise BadParameters(f"received word is not a list: {received!r}") from None
     if len(received) != code.n:
         raise LengthMismatch(f"received word has length {len(received)}, n={code.n}")
     f = code.field
@@ -370,11 +366,21 @@ def _verify_family(code: LinearCode, walk, cover, size) -> VerificationReport:
     return VerificationReport(False, ErasurePattern(code.n, bad), checked)
 
 
+def _verify_windows(code: LinearCode, params: ChannelParams) -> VerificationReport:
+    """_verify_family on the admissible windows of the channel."""
+    family = (partial(f, params) for f in (_admissible_supports, _window_cover, _window_count))
+    return _verify_family(code, *family)
+
+
+def _verify_two_bursts(code: LinearCode, b1: int, b2: int, cyclic: bool) -> VerificationReport:
+    family = _two_bursts(code.n, b1, b2, cyclic=cyclic)
+    cover = partial(_two_bursts, code.n, b1, b2, True, cyclic)
+    return _verify_family(code, family.__iter__, cover, family.__len__)
+
+
 def is_b1b2_code(code: LinearCode, b1: int, b2: int) -> VerificationReport:
     """Verify recovery of every two-burst pattern (lengths <= b1 and <= b2)."""
-    family = _two_bursts(code.n, b1, b2)
-    cover = partial(_burst_pairs, code.n, b1, b2, cover=True)
-    return _verify_family(code, family.__iter__, cover, family.__len__)
+    return _verify_two_bursts(code, b1, b2, cyclic=False)
 
 
 def check_wraparound(code: LinearCode, b1: int, b2: int) -> VerificationReport:
@@ -385,10 +391,6 @@ def check_wraparound(code: LinearCode, b1: int, b2: int) -> VerificationReport:
     n = code.n
     if _json_int(b1, "b1") >= 1 and n % b1 != 0:
         raise DivisibilityViolation(f"b1={b1} must divide n={n} for wrap-around bursts")
-    if n < 1 or b1 < 1 or _json_int(b2, "b2") < 1 or b2 > b1:
+    if b1 < 1 or _json_int(b2, "b2") < 1 or b2 > b1:
         raise BadParameters(f"bad parameters n={n}, b1={b1}, b2={b2}")
-    if n > _ENUM_N_CAP:
-        raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
-    family = _burst_pairs(n, b1, b2, cover=False, cyclic=True)
-    cover = partial(_burst_pairs, n, b1, b2, cover=True, cyclic=True)
-    return _verify_family(code, family.__iter__, cover, family.__len__)
+    return _verify_two_bursts(code, b1, b2, cyclic=True)

@@ -275,6 +275,7 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+# cached: a process that calls main repeatedly (tests, benchmarks) parses with one parser
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after it."""

@@ -20,7 +20,6 @@ PacketStream is built from outside the package.
 
 from __future__ import annotations
 
-import functools
 import random
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -29,14 +28,11 @@ from .algebra import _json_int, columns_independent, field_make
 from .channel import (
     ChannelParams,
     VerificationReport,
-    _admissible_supports,
     _erased_values,
     _erasure_map,
     _mask,
     _mask_admissible,
-    _verify_family,
-    _window_count,
-    _window_cover,
+    _verify_windows,
 )
 from .codes import LinearCode, generator_matrix
 from .errors import (
@@ -112,9 +108,9 @@ class PacketStream:
         _check_erased(erased, len(packets))
 
     def with_erasures(self, indices) -> "PacketStream":
-        erased = frozenset(_json_int(i, "erased slot index") for i in indices)
+        erased = tuple(indices)
         _check_erased(erased, len(self.packets))
-        return _stream(self.q, self.n, self.k, self.message_count, self.packets, erased)
+        return _stream(self.q, self.n, self.k, self.message_count, self.packets, frozenset(erased))
 
 
 def _check_erased(erased, slots: int) -> None:
@@ -305,7 +301,10 @@ def is_stream_admissible(loss, length: int, params: ChannelParams) -> bool:
     """True iff every length-w window of the loss sequence is admissible."""
     if _json_int(length, "length") < 0:
         raise BadParameters(f"need length >= 0, got {length}")
-    loss = tuple(loss)
+    try:
+        loss = tuple(loss)
+    except TypeError:
+        raise BadParameters(f"loss is not a list of slots: {loss!r}") from None
     for i in loss:
         if not 0 <= _json_int(i, "loss index") < length:
             raise BadParameters(f"loss index {i} outside the stream [0, {length})")
@@ -391,13 +390,7 @@ def verify_streaming_code(code: LinearCode, params: StreamingParams) -> Verifica
     if code.n != w:
         raise DimensionMismatch(f"diagonal embedding needs n = w, got n={code.n}, w={w}")
     _require_systematic(code)
-    ch = params.channel
-    return _verify_family(
-        code,
-        functools.partial(_admissible_supports, ch),
-        functools.partial(_window_cover, ch),
-        functools.partial(_window_count, ch),
-    )
+    return _verify_windows(code, params.channel)
 
 
 @dataclass(frozen=True)

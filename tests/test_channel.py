@@ -11,8 +11,9 @@ from erasurelab.algebra import Matrix, field_make
 from erasurelab.channel import (
     ChannelParams,
     ErasurePattern,
-    _burst_pairs,
+    _burst_extras,
     _burst_plus_random,
+    _supports,
     _two_bursts,
     _window_cover,
     can_recover,
@@ -30,6 +31,7 @@ from erasurelab.errors import (
     DivisibilityViolation,
     InconsistentSyndrome,
     LengthMismatch,
+    TooLarge,
     Unrecoverable,
 )
 from erasurelab.streaming import StreamingParams, verify_streaming_code
@@ -97,6 +99,16 @@ def test_erasure_pattern_from_json_rejects_non_integers():
     assert ErasurePattern(**{"n": 5, "support": [3, 1]}).support == (1, 3)
 
 
+def _window_channels(max_w):
+    return [
+        ChannelParams(a, b, e, w)
+        for w in range(3, max_w + 1)
+        for b in range(1, w - 1)
+        for e in range(1, w - b)
+        for a in range(b + e)
+    ]
+
+
 def _oracle_admissible(sup, a, b, e, w):
     E = set(sup)
     if len(E) <= a:
@@ -104,7 +116,7 @@ def _oracle_admissible(sup, a, b, e, w):
     return any(len(E - set(range(s, s + b))) <= e for s in range(w - b + 1))
 
 
-@pytest.mark.parametrize("a,b,e,w", [(1, 2, 1, 4), (0, 1, 1, 3), (2, 3, 2, 7), (1, 2, 2, 6)])
+@pytest.mark.parametrize("a,b,e,w", [(p.a, p.b, p.e, p.w) for p in _window_channels(9)])
 def test_window_admissibility_matches_oracle(a, b, e, w):
     cp = ChannelParams(a, b, e, w)
     for mask in range(1 << w):
@@ -293,16 +305,6 @@ def test_wraparound_failure_carries_witness():
 # ---------------------------------------------------------------------------
 
 
-def _window_channels(max_w):
-    return [
-        ChannelParams(a, b, e, w)
-        for w in range(3, max_w + 1)
-        for b in range(1, w - 1)
-        for e in range(1, w - b)
-        for a in range(b + e)
-    ]
-
-
 def _assert_covers(n, cover, family):
     """Each cover support is a family support, and each family support lies
     inside a cover support."""
@@ -339,12 +341,36 @@ def test_list_family_covers_match_the_reference_families():
                 masks = {i | j for i in oracles._cyclic_intervals(n, b1)
                          for j in oracles._cyclic_intervals(n, b2)}
                 family = [oracles._pattern_from_mask(n, m).support for m in masks]
-                _assert_covers(n, _burst_pairs(n, b1, b2, cover=True, cyclic=True), family)
+                _assert_covers(n, _two_bursts(n, b1, b2, cover=True, cyclic=True), family)
         for b, e in itertools.product(range(1, n + 1), range(n + 1)):
             if b + e > n and n > 9:  # e > n - b only re-checks the large families
                 continue
             family = [p.support for p in oracles.enumerate_burst_plus_random(n, b, e)]
             _assert_covers(n, _burst_plus_random(n, b, e, cover=True), family)
+
+
+def test_window_cover_passes_no_raw_pattern_cap():
+    """Each of the 20 slots with the 18 extras outside it: 20 supports of 19,
+    where the burst-random family's raw-pattern cap would count ~2^24."""
+    cover = _window_cover(ChannelParams(0, 1, 18, 20))
+    assert cover == sorted(tuple(j for j in range(20) if j != i) for i in range(20))
+    with pytest.raises(TooLarge):  # the burst-random family keeps its cap, cover or not
+        _burst_plus_random(20, 1, 18, cover=True)
+
+
+def test_burst_extras_are_the_full_length_unions():
+    """The one burst-with-extras builder: with one extra it is the family the
+    cyclic tightness witness walks, and as the burst-random cover each of its
+    supports has b + min(e, n - b) entries."""
+    for n in range(1, 13):
+        for length in range(n):
+            family = [p.support for p in oracles._burst_plus_one_patterns(n, length)]
+            assert _supports(n, _burst_extras(n, length, 1)) == family
+        for b, e in itertools.product(range(1, n + 1), range(n + 1)):
+            if b + e > n and n > 9:  # as in the cover test above
+                continue
+            cover = _burst_plus_random(n, b, e, cover=True)
+            assert {len(sup) for sup in cover} == {b + min(e, n - b)}, (n, b, e)
 
 
 def _systematic_code(rng, q, k, r):

@@ -33,6 +33,7 @@ from erasurelab.channel import (
     ErasurePattern,
     can_recover,
     check_wraparound,
+    decode_erasures,
     enumerate_admissible_windows,
     enumerate_b1b2_patterns,
 )
@@ -777,6 +778,8 @@ def _edited_cyclic_file():
      "BadParameters"),
     (["search", "--n", "5", "--b1", "2", "--b2", "1", "--q", "3", "--workers", "-3"],
      "BadParameters"),
+    ("decode_erasures(construction_one(8, 3, 1), None)", BadParameters),
+    ("is_stream_admissible(None, 5, ChannelParams(1, 2, 2, 7))", BadParameters),
 ])
 def test_guards_raise_typed_errors(capsys, tmp_path, call, error):
     """Library calls raise the typed error; CLI runs (argv lists, with CODE a

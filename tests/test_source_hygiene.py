@@ -7,9 +7,10 @@ public re-exports. Every method or property defined on a class is read as an
 attribute somewhere in the package (a static method through its own class),
 and neither importing the package and its CLI nor running a search with
 several workers loads process-pool machinery. No cached function is
-annotated to return a list, dict or set. Every function the benchmark
-tracer wraps by name exists in the package, and so does every ``Field``
-method it wraps through ``vars(Field)``."""
+annotated to return a list, dict or set, and the cached functions are a
+fixed few, each under a comment that names the repeats it serves. Every
+function the benchmark tracer wraps by name exists in the package, and so
+does every ``Field`` method it wraps through ``vars(Field)``."""
 
 import ast
 import inspect
@@ -203,22 +204,48 @@ def _is_cache(decorator):
     return name in ("lru_cache", "cache")
 
 
+def _cached_functions():
+    """(module file name, function node) for every cached function."""
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                map(_is_cache, node.decorator_list)
+            ):
+                yield name, node
+
+
 def test_cached_functions_return_no_mutable_container():
     """A cached value is handed to every caller, so one caller changing it
     changes it for the next, as module-level state would be: each cached
     function is annotated to return something other than a list, a dict or
     a set."""
     found = []
-    for name, tree in _modules().items():
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                map(_is_cache, node.decorator_list)
-            ):
-                ret = ast.unparse(node.returns) if node.returns else ""
-                outer = ret.strip("'\"").split("[")[0].rsplit(".", 1)[-1]
-                if outer.lower() in ("", "list", "dict", "set"):
-                    found.append(f"{name}:{node.lineno}: {node.name} -> {ret or None}")
+    for name, node in _cached_functions():
+        ret = ast.unparse(node.returns) if node.returns else ""
+        outer = ret.strip("'\"").split("[")[0].rsplit(".", 1)[-1]
+        if outer.lower() in ("", "list", "dict", "set"):
+            found.append(f"{name}:{node.lineno}: {node.name} -> {ret or None}")
     assert found == []
+
+
+def test_each_cache_names_the_repeats_it_serves():
+    """A cache pays only when some caller repeats its input, and it holds its
+    values for the life of the process. So the cached functions are exactly
+    these three, and the comment block right above each one's decorators
+    names the repeats it serves."""
+    cached, unexplained = set(), []
+    for name, node in _cached_functions():
+        cached.add(node.name)
+        lines = (SRC / name).read_text().splitlines()
+        row = min(d.lineno for d in node.decorator_list) - 1  # 0-based
+        comment = []
+        while row > 0 and lines[row - 1].lstrip().startswith("#"):
+            row -= 1
+            comment.append(lines[row])
+        if "repeat" not in " ".join(comment):
+            unexplained.append(f"{name}:{node.lineno}: {node.name}")
+    assert cached == {"field_make", "_window_count", "_build_parser"}
+    assert unexplained == []
 
 
 def _traced_field_methods():
