@@ -117,6 +117,13 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _instance(value, cls, what: str):
+    """An argument of type cls; anything else is rejected."""
+    if not isinstance(value, cls):
+        raise BadParameters(f"{what} must be {cls.__name__}, got {value!r}")
+    return value
+
+
 class Field:
     """GF(p^m) with elements encoded as canonical integers in [0, q).
 

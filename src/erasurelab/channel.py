@@ -292,15 +292,17 @@ def _erasure_map(code: LinearCode, erased):
         return None
 
 
-def _erased_values(field, recovery, words, wanted) -> list[list[int]]:
+def _erased_values(field, recovery, known, wanted) -> list[list[int]]:
     """The erased symbols of a batch of received words that share one erased
-    set, from its (M, C) map recovery: for each index i in wanted, erased
+    set, from its (M, C) map recovery and the words' known symbols, one
+    column per known position in order: for each index i in wanted, erased
     symbol i of every word, -M[i]·y for the known symbols y of the word.
 
+    This is the one solver for block decoding, stream decoding and stream
+    encoding, whose parity symbols are the erased last n-k of each diagonal.
     Raises InconsistentSyndrome when C·y is nonzero for any word.
     """
-    submul, size = field.submul, len(words)
-    known = [col for col in zip(*words) if col[0] is not None]
+    submul, size = field.submul, len(known[0])
 
     def times(rows):
         # -row·y for every word, one submul per nonzero coefficient
@@ -334,13 +336,11 @@ def decode_erasures(code: LinearCode, received) -> list[int]:
         raise LengthMismatch(f"received word has length {len(received)}, n={code.n}")
     f = code.field
     erased = [i for i, v in enumerate(received) if v is None]
-    for v in received:
-        if v is not None:
-            f.check(v)
+    known = [(f.check(v),) for v in received if v is not None]
     recovery = _erasure_map(code, erased)
     if recovery is None:
         raise Unrecoverable(f"erasures at {erased} are not recoverable")
-    for i, (x,) in zip(erased, _erased_values(f, recovery, [received], range(len(erased)))):
+    for i, (x,) in zip(erased, _erased_values(f, recovery, known, range(len(erased)))):
         received[i] = x
     return received
 

@@ -9,13 +9,13 @@ before time 0 are zero. A whole erased packet erases one coordinate in each
 of the n diagonals crossing it; each diagonal is decoded (if possible) when
 its last symbol arrives.
 
-Encoding and decoding work on whole columns of the stream with the field's
-row primitives. Parity position j of every slot is one sum of at most k
-shifted message columns. A diagonal's recoverability depends only on which
-of its positions were erased, so the decoder plans the diagonals to decode
-on erased sets alone, then solves each group of diagonals that share an
-erased set from one reduction of H. Symbols are checked once, when a
-PacketStream is built from outside the package.
+Encoding and decoding work on whole columns of the stream, through one
+erased-symbol solver: parity = erased symbols solved through the parity
+map, for every diagonal at once. A diagonal's recoverability depends only
+on which of its positions were erased, so the decoder plans the diagonals
+to decode on erased sets alone, then solves each group of diagonals that
+share an erased set from one reduction of H. Symbols are checked once, when
+a PacketStream is built from outside the package.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, fields
 
-from .algebra import _json_int, columns_independent, field_make
+from .algebra import _instance, _json_int, columns_independent, field_make
 from .channel import (
     ChannelParams,
     VerificationReport,
@@ -34,7 +34,7 @@ from .channel import (
     _mask_admissible,
     _verify_windows,
 )
-from .codes import LinearCode, generator_matrix
+from .codes import LinearCode
 from .errors import (
     BadParameters,
     BadProbability,
@@ -56,8 +56,7 @@ class StreamingParams:
     tau: int
 
     def __post_init__(self):
-        if not isinstance(self.channel, ChannelParams):
-            raise BadParameters(f"channel must be ChannelParams, got {self.channel!r}")
+        _instance(self.channel, ChannelParams, "channel")
         if _json_int(self.tau, "tau") < self.channel.w - 1:
             raise BadParameters(
                 f"need tau >= w-1 = {self.channel.w - 1}, got {self.tau}"
@@ -91,12 +90,13 @@ class PacketStream:
                                 f"{self.message_count}, k={self.k}, n={self.n}")
         try:
             packets = tuple(map(tuple, self.packets))
-            erased = frozenset(self.erased)
+            erased = tuple(self.erased)  # checked as listed: a frozenset takes True for 1
+            frozen = frozenset(erased)
         except TypeError:
             raise BadParameters("packets must be a list of symbol lists and erased a set "
                                 f"of slots, got {self.packets!r} and {self.erased!r}") from None
         object.__setattr__(self, "packets", packets)
-        object.__setattr__(self, "erased", erased)
+        object.__setattr__(self, "erased", frozen)
         if len(packets) != self.message_count + self.n - 1:
             raise DimensionMismatch("packet count must be message_count + n - 1")
         if any(len(p) != self.n for p in packets):
@@ -105,19 +105,9 @@ class PacketStream:
         for p in packets:
             for x in p:
                 check(x)
-        _check_erased(erased, len(packets))
-
-    def with_erasures(self, indices) -> "PacketStream":
-        erased = tuple(indices)
-        _check_erased(erased, len(self.packets))
-        return _stream(self.q, self.n, self.k, self.message_count, self.packets, frozenset(erased))
-
-
-def _check_erased(erased, slots: int) -> None:
-    """BadParameters unless every erased slot is an integer in [0, slots)."""
-    for t in erased:
-        if not 0 <= _json_int(t, "erased slot index") < slots:
-            raise BadParameters("erased slot index out of range")
+        for t in erased:
+            if not 0 <= _json_int(t, "erased slot index") < len(packets):
+                raise BadParameters("erased slot index out of range")
 
 
 def _stream(*values) -> PacketStream:
@@ -152,11 +142,18 @@ class DecodeTrace:
         return sum(1 for m in self.misses if m)
 
 
-def _require_systematic(code: LinearCode) -> None:
-    """NotSystematic unless the last n-k columns of H are independent, which
-    is when the code has a generator [I_k | P]."""
-    if not columns_independent(code.h, range(code.k, code.n)):
+def _parity_map(code: LinearCode):
+    """The erasure map of the last n-k positions: a diagonal's parity symbols
+    solved as erased ones. NotSystematic when their columns of H are
+    dependent, i.e. when the code has no generator [I_k | P]."""
+    try:
+        parity = range(code.k, code.n)
+    except AttributeError:
+        raise BadParameters(f"code must be LinearCode, got {code!r}") from None
+    recovery = _erasure_map(code, parity)
+    if recovery is None:
         raise NotSystematic("last n-k columns of H are singular")
+    return recovery
 
 
 def de_encode(code: LinearCode, messages) -> PacketStream:
@@ -164,7 +161,7 @@ def de_encode(code: LinearCode, messages) -> PacketStream:
 
     Raises NotSystematic when the code has no [I_k | P] generator.
     """
-    _require_systematic(code)
+    recovery = _parity_map(code)
     f, k = code.field, code.k
     try:
         msgs = [tuple(vec) for vec in messages]
@@ -177,42 +174,24 @@ def de_encode(code: LinearCode, messages) -> PacketStream:
             raise LengthMismatch(f"message must have k={k} symbols, got {len(vec)}")
     if not msgs:
         raise BadParameters("need at least one message packet")
-    return _encode(code, msgs)
+    return _encode(code, recovery, msgs, ())
 
 
-def _encode(code: LinearCode, msgs) -> PacketStream:
-    """de_encode of messages known to be k field elements each, for a code
-    known to be systematic, column by column over the whole stream."""
-    g = generator_matrix(code).data
-    f = code.field
+def _encode(code: LinearCode, recovery, msgs, erased) -> PacketStream:
+    """de_encode of messages known to be k field elements each, through the
+    code's parity map recovery, as a stream with the given slots erased."""
     n, k = code.n, code.k
     slots = len(msgs) + n - 1
-    # message column i with the zero messages before time 0 and after the
-    # last, so that u_i(t) sits at index t + n - 1
-    pad = (0,) * (n - 1)
-    cols = [pad + col + pad for col in zip(*msgs)]
-    # diagonal d puts its position j in slot d + j, so parity j of slot s is
-    # the sum over i of G[i][j] u_i(s - j + i)
-    parity = []
-    for j in range(k, n):
-        acc = [0] * slots
-        for i, col in enumerate(cols):
-            if g[i][j]:
-                start = n - 1 - j + i
-                acc = f.submul(acc, f.neg(g[i][j]), col[start : start + slots])
-        parity.append(acc)
-    packets = tuple(zip(*(col[n - 1 : n - 1 + slots] for col in cols), *parity))
-    return _stream(f.q, n, k, len(msgs), packets, frozenset())
-
-
-def _diagonal_word(stream: PacketStream, d: int):
-    """Received view (None = erased) of the diagonal started at time d."""
-    return [
-        0 if d + j < 0  # pre-stream symbols come from all-zero messages
-        else None if d + j in stream.erased
-        else stream.packets[d + j][j]
-        for j in range(stream.n)
-    ]
+    # message column i with zero messages before time 0 and after the last,
+    # enough of them for every shift below
+    cols = [(0,) * (n - 1) + col + (0,) * (n + k) for col in zip(*msgs)]
+    # position j of diagonal d sits in slot d + j, so message column i shifted
+    # by i holds position i of every diagonal, diagonal d at index d + n - 1
+    words = [col[i : i + slots + n - 1] for i, col in enumerate(cols)]
+    words += _erased_values(code.field, recovery, words, range(n - k))
+    # and position j shifted back by j holds slot s at index s
+    packets = tuple(zip(*(col[n - 1 - j : n - 1 - j + slots] for j, col in enumerate(words))))
+    return _stream(code.field.q, n, k, len(msgs), packets, frozenset(erased))
 
 
 def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -> DecodeTrace:
@@ -229,6 +208,8 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
     reduction of H. Raises InconsistentSyndrome when the known symbols of a
     planned diagonal contradict the code.
     """
+    _instance(stream, PacketStream, "stream")
+    _instance(params, StreamingParams, "params")
     if code.n != stream.n or code.k != stream.k or code.field.q != stream.q:
         raise DimensionMismatch("stream was not produced by this code")
     n, k = stream.n, stream.k
@@ -256,11 +237,13 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
     # message symbols only
     for erased, group in groups.items():
         diagonals = list(group)
-        words = [_diagonal_word(stream, d) for d in diagonals]
-        positions = [i for i in range(n) if erased >> i & 1]
-        wanted = [i for i, j in enumerate(positions) if j < k]
-        for i, xs in zip(wanted, _erased_values(code.field, maps[erased], words, wanted)):
-            j = positions[i]
+        # known position j of diagonal d is in slot d + j; pre-stream slots read 0
+        known = [[stream.packets[d + j][j] if d + j >= 0 else 0 for d in diagonals]
+                 for j in range(n) if not erased >> j & 1]
+        # the erased message positions come first among the erased ones
+        positions = [j for j in range(n) if erased >> j & 1]
+        wanted = range(sum(j < k for j in positions))
+        for j, xs in zip(positions, _erased_values(code.field, maps[erased], known, wanted)):
             for d, x in zip(diagonals, xs):
                 if d + j in rebuilt:
                     rebuilt[d + j][j] = x
@@ -308,6 +291,7 @@ def is_stream_admissible(loss, length: int, params: ChannelParams) -> bool:
     for i in loss:
         if not 0 <= _json_int(i, "loss index") < length:
             raise BadParameters(f"loss index {i} outside the stream [0, {length})")
+    _instance(params, ChannelParams, "params")
     return _count_inadmissible_windows(loss, length, params) == 0
 
 
@@ -320,7 +304,7 @@ def periodic_pattern(params: ChannelParams, periods: int) -> tuple[int, ...]:
     """
     if _json_int(periods, "periods") < 1:
         raise BadParameters(f"need periods >= 1, got {periods}")
-    if params.e < params.b - 1:
+    if _instance(params, ChannelParams, "params").e < params.b - 1:
         raise ParameterViolation(
             f"periodic pattern needs e >= b-1, got b={params.b}, e={params.e}"
         )
@@ -384,12 +368,14 @@ def verify_streaming_code(code: LinearCode, params: StreamingParams) -> Verifica
     path of the window walk has passed; patterns_checked on a pass is the
     number of admissible windows, not a count of the patterns pushed.
     """
-    w = params.channel.w
+    w = _instance(params, StreamingParams, "params").channel.w
     if params.tau != w - 1:
         raise UnsupportedDelay(f"verifier requires tau = w-1 = {w - 1}, got {params.tau}")
     if code.n != w:
         raise DimensionMismatch(f"diagonal embedding needs n = w, got n={code.n}, w={w}")
-    _require_systematic(code)
+    # the one systematic test that builds no parity map, since nothing is encoded here
+    if not columns_independent(code.h, range(code.k, code.n)):
+        raise NotSystematic("last n-k columns of H are singular")
     return _verify_windows(code, params.channel)
 
 
@@ -422,7 +408,7 @@ def simulate(code: LinearCode, params: StreamingParams, source, seed: int) -> di
     {"slots", "admissible", "windows_inadmissible", "messages_failed",
     "deadline_misses", "seed"}.
     """
-    ch = params.channel
+    ch = _instance(params, StreamingParams, "params").channel
     n, k = code.n, code.k
     if isinstance(source, PeriodicSource):
         slots = source.periods * ch.w
@@ -444,8 +430,7 @@ def simulate(code: LinearCode, params: StreamingParams, source, seed: int) -> di
         raise BadParameters(f"{slots} slots leave no room for messages (n={n})")
     rng = random.Random(_json_int(seed, "seed") ^ _MESSAGE_SEED_SALT)
     msgs = [[rng.randrange(code.field.q) for _ in range(k)] for _ in range(t_count)]
-    _require_systematic(code)
-    stream = _encode(code, msgs).with_erasures(loss)
+    stream = _encode(code, _parity_map(code), msgs, loss)
     trace = de_decode(stream, code, params)
     for sent, got in zip(msgs, trace.messages):
         if got is not None and tuple(sent) != got:

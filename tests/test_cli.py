@@ -52,7 +52,16 @@ from erasurelab.errors import (
     LengthMismatch,
     TooLarge,
 )
-from erasurelab.streaming import is_stream_admissible
+from erasurelab.streaming import (
+    PeriodicSource,
+    StreamingParams,
+    de_decode,
+    de_encode,
+    is_stream_admissible,
+    periodic_pattern,
+    simulate,
+    verify_streaming_code,
+)
 
 H831 = [
     [1, 0, 0, 1, 0, 0, 1, 0],
@@ -608,6 +617,13 @@ def test_readme_command_line_examples_exit_0(capsys, tmp_path, monkeypatch):
     assert commands == {"construct", "verify", "analyze", "search", "simulate"}
 
 
+def test_readme_library_example_runs():
+    """The README's Python block runs as written, its asserts included."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    exec(block.split("```", 1)[0], {})
+
+
 # ---------------------------------------------------------------------------
 # malformed code files
 # ---------------------------------------------------------------------------
@@ -780,6 +796,15 @@ def _edited_cyclic_file():
      "BadParameters"),
     ("decode_erasures(construction_one(8, 3, 1), None)", BadParameters),
     ("is_stream_admissible(None, 5, ChannelParams(1, 2, 2, 7))", BadParameters),
+    ("verify_streaming_code(construction_one(8, 3, 1), None)", BadParameters),
+    ("de_encode(None, [(1, 2, 0, 1)])", BadParameters),
+    ("de_decode(None, construction_one(8, 3, 1), StreamingParams(ChannelParams(1, 3, 1, 8), 7))",
+     BadParameters),
+    ("de_decode(de_encode(construction_one(8, 3, 1), [(1, 2, 0, 1)]), construction_one(8, 3, 1), "
+     "None)", BadParameters),
+    ("periodic_pattern(None, 2)", BadParameters),
+    ("is_stream_admissible([1], 5, None)", BadParameters),
+    ("simulate(construction_one(8, 3, 1), None, PeriodicSource(2), 1)", BadParameters),
 ])
 def test_guards_raise_typed_errors(capsys, tmp_path, call, error):
     """Library calls raise the typed error; CLI runs (argv lists, with CODE a

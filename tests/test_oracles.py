@@ -8,6 +8,7 @@ exception types and messages on seeded random inputs."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -59,7 +60,6 @@ from erasurelab.errors import ErasureLabError, InconsistentSyndrome
 from erasurelab.streaming import (
     PacketStream,
     StreamingParams,
-    _diagonal_word,
     de_decode,
     de_encode,
     verify_streaming_code,
@@ -254,7 +254,7 @@ def test_de_decode_flags_a_tampered_parity_symbol():
     packets[d + j][j] = code.field.add(packets[d + j][j], 1)
     tampered = PacketStream(stream.q, stream.n, stream.k, stream.message_count,
                             tuple(map(tuple, packets)), frozenset({d}))
-    ref = _outcome(oracles.decode_erasures, code, _diagonal_word(tampered, d))
+    ref = _outcome(oracles.decode_erasures, code, oracles.diagonal_word(tampered, d))
     assert ref == ("raise", InconsistentSyndrome, "known symbols contradict the code")
     assert _outcome(de_decode, tampered, code, StreamingParams(ch, 8)) == ref
 
@@ -311,7 +311,7 @@ def test_stream_coding_matches_per_diagonal_reference(q):
                 continue
             stream = encoded[1]
             for loss in _losses(rng, len(stream.packets)):
-                lossy = stream.with_erasures(loss)
+                lossy = dataclasses.replace(stream, erased=loss)
                 if rng.random() < 0.5 and loss:
                     # a parity symbol on a diagonal through a lost slot
                     packets = [list(p) for p in lossy.packets]

@@ -3,6 +3,7 @@ decoder: at n = w and tau = w - 1 the diagonal embedding decodes every
 admissible loss sequence by its deadline iff every admissible window pattern
 is recoverable."""
 
+import dataclasses
 import random
 
 from erasurelab.algebra import Matrix, field_make
@@ -52,7 +53,7 @@ def test_failing_verdict_witness_breaks_the_stream():
         loss = [d + j for j in report.witness.support]
         stream = de_encode(code, _messages(rng, 3, k, 3 * ch.w))
         assert is_stream_admissible(loss, len(stream.packets), ch)
-        trace = de_decode(stream.with_erasures(loss), code, params)
+        trace = de_decode(dataclasses.replace(stream, erased=loss), code, params)
         assert trace.messages_failed + trace.deadline_misses > 0
 
 
@@ -73,7 +74,7 @@ def test_passing_verdict_decodes_every_admissible_stream():
             loss = [i for i in range(slots) if mask >> i & 1]
             if not is_stream_admissible(loss, slots, ch):
                 continue
-            trace = de_decode(stream.with_erasures(loss), code, params)
+            trace = de_decode(dataclasses.replace(stream, erased=loss), code, params)
             assert trace.messages == sent
             assert trace.deadline_misses == 0
             decoded += 1

@@ -1,11 +1,12 @@
 """Diagonal embedding, loss sources, stream admissibility, the streaming
 verifier, and the end-to-end simulator."""
 
+import dataclasses
 import random
 
 import pytest
 
-from erasurelab import channel, streaming
+from erasurelab import channel, codes, streaming
 from erasurelab.algebra import Field, Matrix, field_make
 from erasurelab.channel import ChannelParams, ErasurePattern
 from erasurelab.codes import LinearCode, construction_one, generator_matrix, mds_code
@@ -159,8 +160,8 @@ def test_packet_stream_validation():
     with pytest.raises(DimensionMismatch):
         PacketStream(3, 8, 4, 1, ragged, frozenset())
     with pytest.raises(BadParameters):
-        stream.with_erasures((8,))
-    lossy = stream.with_erasures((0, 5))
+        dataclasses.replace(stream, erased=(8,))
+    lossy = dataclasses.replace(stream, erased=(0, 5))
     assert lossy.erased == frozenset({0, 5})
     assert stream.erased == frozenset()  # original untouched
 
@@ -209,7 +210,7 @@ def test_decoding_checks_symbols_only_at_the_boundary(monkeypatch):
     """A stream the package encoded is decoded with no Field.check call; a
     word handed to decode_erasures is still checked."""
     msgs = _random_messages(4, 3, 30, seed=5)
-    stream = de_encode(CODE831, msgs).with_erasures((1, 2, 3, 12, 20))
+    stream = dataclasses.replace(de_encode(CODE831, msgs), erased=(1, 2, 3, 12, 20))
     calls = []
     check = Field.check
     monkeypatch.setattr(Field, "check", lambda self, x: calls.append(x) or check(self, x))
@@ -226,14 +227,17 @@ def test_decoding_checks_symbols_only_at_the_boundary(monkeypatch):
 def test_with_erasures_rejects_non_integer_indices(indices):
     stream = de_encode(CODE831, [(1, 2, 0, 1)])
     with pytest.raises(BadParameters, match="erased slot index must be an integer"):
-        stream.with_erasures(indices)
+        dataclasses.replace(stream, erased=indices)
 
 
-@pytest.mark.parametrize("erased", [{1.5, True}, {1.5}, {"2"}, {True}, {2.0, 3}])
+@pytest.mark.parametrize("erased", [{1.5, True}, {1.5}, {"2"}, {True}, {2.0, 3}, [1, True]])
 def test_packet_stream_rejects_non_integer_erasures(erased):
+    """A list keeps the True that a set would merge into 1."""
     packets = ((0, 0, 0),) * 3
+    if isinstance(erased, set):
+        erased = frozenset(erased)
     with pytest.raises(BadParameters, match="erased slot index must be an integer"):
-        PacketStream(2, 3, 1, 1, packets, frozenset(erased))
+        PacketStream(2, 3, 1, 1, packets, erased)
 
 
 @pytest.mark.parametrize("loss", [[1.9, "3"], [True], [1, True], ["0"], [2.0]])
@@ -345,15 +349,20 @@ def test_verifier_builds_a_pattern_only_for_its_witness(monkeypatch):
     assert built == [over.witness.support] == [(0, 1, 2, 3)]
 
 
-def test_streaming_never_builds_a_generator_to_verify(monkeypatch):
+def test_streaming_never_builds_a_generator(monkeypatch):
+    """Verifying, encoding and simulating build no generator matrix: the
+    encoder solves parity symbols as erased ones."""
     built = []
     monkeypatch.setattr(
-        streaming, "generator_matrix", lambda code: built.append(code) or generator_matrix(code)
+        codes, "generator_matrix", lambda code: built.append(code) or generator_matrix(code)
     )
     params = StreamingParams(ChannelParams(2, 3, 1, 6), 5)
     assert verify_streaming_code(mds_code(6, 4), params).verdict is True
     assert verify_streaming_code(mds_code(6, 3), params).verdict is False
+    de_encode(CODE831, _random_messages(4, 3, 5, seed=1))
+    simulate(mds_code(7, 5), StreamingParams(ChannelParams(2, 3, 2, 7), 6), PeriodicSource(3), 11)
     assert built == []
+    assert not hasattr(streaming, "generator_matrix")
 
 
 def test_verifier_guards():
@@ -392,7 +401,7 @@ def test_de_encode_rejects_a_code_without_systematic_orientation():
 
 def test_decode_roundtrip_with_burst_plus_straggler():
     msgs = _random_messages(4, 3, 6, seed=7)
-    stream = de_encode(CODE831, msgs).with_erasures((1, 2, 3, 6))
+    stream = dataclasses.replace(de_encode(CODE831, msgs), erased=(1, 2, 3, 6))
     trace = de_decode(stream, CODE831, PARAMS831)
     assert trace.times == (0, 8, 9, 10, 4, 5)
     assert trace.deadlines == (7, 8, 9, 10, 11, 12)
@@ -403,7 +412,7 @@ def test_decode_roundtrip_with_burst_plus_straggler():
 
 def test_decode_reports_unrecoverable_messages():
     msgs = _random_messages(4, 3, 6, seed=7)
-    stream = de_encode(CODE831, msgs).with_erasures(range(5))  # burst of 5
+    stream = dataclasses.replace(de_encode(CODE831, msgs), erased=range(5))  # burst of 5
     trace = de_decode(stream, CODE831, PARAMS831)
     assert trace.times == (None, None, None, None, 11, 5)
     assert trace.messages_failed == 4
@@ -416,7 +425,7 @@ def test_decode_deadline_miss_accounting():
     # A tighter channel window means a tighter deadline than the rebuild slot.
     tight = StreamingParams(ChannelParams(1, 2, 1, 4), 3)
     msgs = _random_messages(4, 3, 6, seed=7)
-    stream = de_encode(CODE831, msgs).with_erasures((1,))
+    stream = dataclasses.replace(de_encode(CODE831, msgs), erased=(1,))
     trace = de_decode(stream, CODE831, tight)
     assert trace.times == (0, 8, 2, 3, 4, 5)
     assert trace.deadlines == (3, 4, 5, 6, 7, 8)
@@ -524,7 +533,7 @@ def test_de_decode_reduces_h_once_per_erased_set(monkeypatch):
     params = StreamingParams(ch, 8)
     loss = set(periodic_pattern(ch, 20))
     msgs = _random_messages(code.k, code.field.q, 20 * 9 - 8, seed=3)
-    stream = de_encode(code, msgs).with_erasures(loss)
+    stream = dataclasses.replace(de_encode(code, msgs), erased=loss)
     reductions = []
     recovery = channel._recovery
     monkeypatch.setattr(
