@@ -661,15 +661,23 @@ def _first_dependent(field: Field, cols, supports, path: bool = False):
 
     A support is a tuple of indices into cols. One pivot basis is carried
     along: it is cut back to the prefix each support shares with the one
-    before, and only the rest is pushed. That is right in any order, and in
-    lexicographic order it is about one push per support.
+    before, and only the rest is pushed. That is right in any order.
+
+    Next to the basis, levels[d][j] holds cols[j] reduced against basis[:d]
+    (None until a push needs it); a cut drops the levels past the prefix.
+    A push at depth d starts from the deepest level that holds its column
+    and applies only the basis rows after it, storing each level on the
+    way: the same row operations as _reduce, so the same basis rows, but in
+    lexicographic order about one row operation per pushed column.
 
     With path, the walk stops at the first support that does not extend the
     one before it, unpushed and uncounted: in lexicographic order the
     supports walked are then the first path of the set-enumeration tree,
     down to its first leaf.
     """
+    submul, scale, inv, n = field.submul, field.scale, field.inv, len(cols)
     basis: list = []
+    levels: list = [cols]
     prev: tuple = ()
     checked = 0
     for sup in supports:
@@ -682,8 +690,26 @@ def _first_dependent(field: Field, cols, supports, path: bool = False):
             break
         checked += 1
         del basis[keep:]
-        if not all(_push(field, basis, cols[j]) for j in sup[keep:]):
-            return checked, sup
+        del levels[keep + 1 :]
+        for j in sup[keep:]:
+            depth = t = len(basis)
+            while levels[t][j] is None:
+                t -= 1
+            v = levels[t][j]
+            while t < depth:
+                lead, row = basis[t]
+                c = v[lead]
+                if c:
+                    v = submul(v, c, row)
+                t += 1
+                levels[t][j] = v
+            for lead, x in enumerate(v):
+                if x:
+                    break
+            else:
+                return checked, sup
+            basis.append((lead, scale(inv(x), v)))
+            levels.append([None] * n)
         prev = sup
     return checked, None
 

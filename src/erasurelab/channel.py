@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .algebra import _first_dependent, _json_int, _recovery, columns_independent
+from .algebra import _first_dependent, _instance, _json_int, _recovery, columns_independent
 from .codes import LinearCode
 from .errors import (
     BadParameters,
@@ -130,7 +130,8 @@ def is_window_admissible(pattern: ErasurePattern, params: ChannelParams) -> bool
 
     Either |E| <= a, or some length-b interval covers all but at most e of E.
     """
-    if pattern.n != params.w:
+    _instance(pattern, ErasurePattern, "pattern")
+    if pattern.n != _instance(params, ChannelParams, "params").w:
         raise LengthMismatch(f"pattern is over n={pattern.n}, window is w={params.w}")
     return _mask_admissible(pattern.mask(), params)
 
@@ -183,6 +184,7 @@ def _window_cover(params: ChannelParams) -> list[tuple[int, ...]]:
 
 def enumerate_admissible_windows(params: ChannelParams) -> list[ErasurePattern]:
     """All admissible window patterns, lexicographic by support (empty first)."""
+    _instance(params, ChannelParams, "params")
     return [ErasurePattern(params.w, s) for s in _admissible_supports(params)]
 
 
@@ -278,7 +280,8 @@ def enumerate_burst_plus_random(n: int, b: int, e: int) -> list[ErasurePattern]:
 def can_recover(code: LinearCode, pattern: ErasurePattern) -> bool:
     """True iff every symbol erased by the pattern is determined by the rest,
     i.e. the erased parity-check columns are linearly independent."""
-    if pattern.n != code.n:
+    _instance(code, LinearCode, "code")
+    if _instance(pattern, ErasurePattern, "pattern").n != code.n:
         raise LengthMismatch(f"pattern over n={pattern.n}, code has n={code.n}")
     return columns_independent(code.h, pattern.support)
 
@@ -380,7 +383,7 @@ def _verify_two_bursts(code: LinearCode, b1: int, b2: int, cyclic: bool) -> Veri
 
 def is_b1b2_code(code: LinearCode, b1: int, b2: int) -> VerificationReport:
     """Verify recovery of every two-burst pattern (lengths <= b1 and <= b2)."""
-    return _verify_two_bursts(code, b1, b2, cyclic=False)
+    return _verify_two_bursts(_instance(code, LinearCode, "code"), b1, b2, cyclic=False)
 
 
 def check_wraparound(code: LinearCode, b1: int, b2: int) -> VerificationReport:
@@ -388,7 +391,7 @@ def check_wraparound(code: LinearCode, b1: int, b2: int) -> VerificationReport:
 
     Only meaningful (and only allowed) when b1 divides n.
     """
-    n = code.n
+    n = _instance(code, LinearCode, "code").n
     if _json_int(b1, "b1") >= 1 and n % b1 != 0:
         raise DivisibilityViolation(f"b1={b1} must divide n={n} for wrap-around bursts")
     if b1 < 1 or _json_int(b2, "b2") < 1 or b2 > b1:

@@ -209,6 +209,7 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
     planned diagonal contradict the code.
     """
     _instance(stream, PacketStream, "stream")
+    _instance(code, LinearCode, "code")
     _instance(params, StreamingParams, "params")
     if code.n != stream.n or code.k != stream.k or code.field.q != stream.q:
         raise DimensionMismatch("stream was not produced by this code")
@@ -368,6 +369,7 @@ def verify_streaming_code(code: LinearCode, params: StreamingParams) -> Verifica
     path of the window walk has passed; patterns_checked on a pass is the
     number of admissible windows, not a count of the patterns pushed.
     """
+    _instance(code, LinearCode, "code")
     w = _instance(params, StreamingParams, "params").channel.w
     if params.tau != w - 1:
         raise UnsupportedDelay(f"verifier requires tau = w-1 = {w - 1}, got {params.tau}")
@@ -408,6 +410,7 @@ def simulate(code: LinearCode, params: StreamingParams, source, seed: int) -> di
     {"slots", "admissible", "windows_inadmissible", "messages_failed",
     "deadline_misses", "seed"}.
     """
+    _instance(code, LinearCode, "code")
     ch = _instance(params, StreamingParams, "params").channel
     n, k = code.n, code.k
     if isinstance(source, PeriodicSource):

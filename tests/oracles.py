@@ -6,11 +6,11 @@ elimination routine and Zech-logarithm addition, and the eager pattern-family
 enumerators it used before one burst/union builder and a lazy window walk
 replaced them, and the exhaustive [P | I] search as it was when each chunk
 rebuilt its pattern family from a tag, and the minimum-distance subset search
-and per-pattern independence loop that one prefix-sharing walk replaced, and
-the syndrome-then-solve erasure decoder and right-systematic-form generator
-that one erased-coordinate map replaced, and the stream encoder and decoder
-that worked one diagonal at a time before both moved to whole-stream row
-operations.
+and per-pattern independence loop (with its first-path variant) that one
+prefix-sharing walk replaced, and the syndrome-then-solve erasure decoder
+and right-systematic-form generator that one erased-coordinate map
+replaced, and the stream encoder and decoder that worked one diagonal at a
+time before both moved to whole-stream row operations.
 They are deliberately left as they were: tests run both sides
 on the same inputs and require identical matrices, solutions, verdicts,
 pattern orders, exception types and messages.
@@ -421,6 +421,19 @@ def first_dependent(field, cols, supports):
         if not vectors_independent(field, [cols[j] for j in sup]):
             return checked, sup
     return checked, None
+
+
+def first_dependent_path(field, cols, supports):
+    """first_dependent over the supports up to the first one that does not
+    extend the support before it, which is left out."""
+    prev = ()
+    walked = []
+    for sup in supports:
+        if sup[: len(prev)] != prev:
+            break
+        walked.append(sup)
+        prev = sup
+    return first_dependent(field, cols, walked)
 
 
 # ---------------------------------------------------------------------------

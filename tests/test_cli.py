@@ -36,6 +36,8 @@ from erasurelab.channel import (
     decode_erasures,
     enumerate_admissible_windows,
     enumerate_b1b2_patterns,
+    is_b1b2_code,
+    is_window_admissible,
 )
 from erasurelab.cli import _build_parser, main
 from erasurelab.codes import (
@@ -805,6 +807,18 @@ def _edited_cyclic_file():
     ("periodic_pattern(None, 2)", BadParameters),
     ("is_stream_admissible([1], 5, None)", BadParameters),
     ("simulate(construction_one(8, 3, 1), None, PeriodicSource(2), 1)", BadParameters),
+    ("can_recover(construction_one(8, 3, 1), None)", BadParameters),
+    ("can_recover(None, ErasurePattern(8, (0,)))", BadParameters),
+    ("is_window_admissible(None, ChannelParams(1, 2, 1, 5))", BadParameters),
+    ("is_window_admissible(ErasurePattern(5, (0,)), None)", BadParameters),
+    ("enumerate_admissible_windows(None)", BadParameters),
+    ("is_b1b2_code(None, 3, 1)", BadParameters),
+    ("check_wraparound(None, 1, 1)", BadParameters),
+    ("verify_streaming_code(None, StreamingParams(ChannelParams(1, 3, 1, 8), 7))", BadParameters),
+    ("de_decode(de_encode(construction_one(8, 3, 1), [(1, 2, 0, 1)]), None, "
+     "StreamingParams(ChannelParams(1, 3, 1, 8), 7))", BadParameters),
+    ("simulate(None, StreamingParams(ChannelParams(1, 3, 1, 8), 7), PeriodicSource(2), 1)",
+     BadParameters),
 ])
 def test_guards_raise_typed_errors(capsys, tmp_path, call, error):
     """Library calls raise the typed error; CLI runs (argv lists, with CODE a

@@ -589,7 +589,7 @@ def _families(rng, nrows, ncols):
     ]
 
 
-@pytest.mark.parametrize("q", FIELDS)
+@pytest.mark.parametrize("q", FIELDS + BIG_FIELDS)
 def test_first_dependent_matches_per_support_loop(q):
     rng = random.Random(4000 + q)
     f = field_make(q)
@@ -600,6 +600,9 @@ def test_first_dependent_matches_per_support_loop(q):
             for start in range(0, len(family), 4):
                 assert _first_dependent(f, cols, iter(family[start:])) == (
                     oracles.first_dependent(f, cols, family[start:])
+                )
+                assert _first_dependent(f, cols, iter(family[start:]), path=True) == (
+                    oracles.first_dependent_path(f, cols, family[start:])
                 )
     assert _first_dependent(f, [(1,)], []) == (0, None)
 

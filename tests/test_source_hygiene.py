@@ -8,7 +8,8 @@ attribute somewhere in the package (a static method through its own class),
 and neither importing the package and its CLI nor running a search with
 several workers loads process-pool machinery. No cached function is
 annotated to return a list, dict or set, and the cached functions are a
-fixed few, each under a comment that names the repeats it serves. Every
+fixed few, each under a comment that names the repeats it serves. Only a
+fixed few kernels read the ``submul`` row primitive. Every
 function the benchmark tracer wraps by name exists in the package, and so
 does every ``Field`` method it wraps through ``vars(Field)``."""
 
@@ -246,6 +247,33 @@ def test_each_cache_names_the_repeats_it_serves():
             unexplained.append(f"{name}:{node.lineno}: {node.name}")
     assert cached == {"field_make", "_window_count", "_build_parser"}
     assert unexplained == []
+
+
+def test_only_the_kernels_read_submul():
+    """Row operations go through a few kernels, so no hand-copied
+    elimination loop creeps in beside them: these module-level functions
+    and methods (with whatever they nest) are the only readers of
+    ``<field>.submul``."""
+    readers = set()
+    for tree in _modules().values():
+        for node in tree.body:
+            owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            for fn in node.body if owner else [node]:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "submul"
+                    and isinstance(n.ctx, ast.Load)
+                    for n in ast.walk(fn)
+                ):
+                    readers.add(owner + fn.name)
+    assert readers == {
+        "_reduce",
+        "_first_dependent",
+        "poly_mul",
+        "poly_divmod",
+        "_erased_values",
+        "_min_weight_enum",
+        "sparsify_construction_one",
+    }
 
 
 def _traced_field_methods():
