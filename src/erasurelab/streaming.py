@@ -21,6 +21,8 @@ a PacketStream is built from outside the package.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, fields
 
@@ -174,24 +176,26 @@ def de_encode(code: LinearCode, messages) -> PacketStream:
             raise LengthMismatch(f"message must have k={k} symbols, got {len(vec)}")
     if not msgs:
         raise BadParameters("need at least one message packet")
-    return _encode(code, recovery, msgs, ())
+    return _encode(code, recovery, list(zip(*msgs)), ())
 
 
-def _encode(code: LinearCode, recovery, msgs, erased) -> PacketStream:
-    """de_encode of messages known to be k field elements each, through the
-    code's parity map recovery, as a stream with the given slots erased."""
+def _encode(code: LinearCode, recovery, columns, erased) -> PacketStream:
+    """de_encode of the k message columns (column i holds symbol i of every
+    message, each a field element), through the code's parity map recovery,
+    as a stream with the given slots erased."""
     n, k = code.n, code.k
-    slots = len(msgs) + n - 1
+    t_count = len(columns[0])
+    slots = t_count + n - 1
     # message column i with zero messages before time 0 and after the last,
     # enough of them for every shift below
-    cols = [(0,) * (n - 1) + col + (0,) * (n + k) for col in zip(*msgs)]
+    cols = [(0,) * (n - 1) + tuple(col) + (0,) * (n + k) for col in columns]
     # position j of diagonal d sits in slot d + j, so message column i shifted
     # by i holds position i of every diagonal, diagonal d at index d + n - 1
     words = [col[i : i + slots + n - 1] for i, col in enumerate(cols)]
     words += _erased_values(code.field, recovery, words, range(n - k))
     # and position j shifted back by j holds slot s at index s
     packets = tuple(zip(*(col[n - 1 - j : n - 1 - j + slots] for j, col in enumerate(words))))
-    return _stream(code.field.q, n, k, len(msgs), packets, frozenset(erased))
+    return _stream(code.field.q, n, k, t_count, packets, frozenset(erased))
 
 
 def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -> DecodeTrace:
@@ -221,15 +225,16 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
     maps: dict[int, tuple | None] = {}
     groups: dict[int, set[int]] = {}
     rebuilt = {}
-    for t in stream.erased:
-        if t >= t_count:
-            continue
+    lost_messages = [t for t in stream.erased if t < t_count]
+    for t in lost_messages:
         for j in range(k):
             d = t - j
             erased = (lost >> d if d >= 0 else lost << -d) & full
-            if erased not in maps:
-                maps[erased] = _erasure_map(code, [i for i in range(n) if erased >> i & 1])
-            if maps[erased] is None:
+            recovery = maps.get(erased, maps)
+            if recovery is maps:
+                positions = [i for i in range(n) if erased >> i & 1]
+                recovery = maps[erased] = _erasure_map(code, positions)
+            if recovery is None:
                 break
             groups.setdefault(erased, set()).add(d)
         else:
@@ -246,25 +251,23 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
         wanted = range(sum(j < k for j in positions))
         for j, xs in zip(positions, _erased_values(code.field, maps[erased], known, wanted)):
             for d, x in zip(diagonals, xs):
-                if d + j in rebuilt:
-                    rebuilt[d + j][j] = x
-    times = []
-    messages = []
-    for t in range(t_count):
-        if t not in stream.erased:
-            times.append(t)
-            messages.append(tuple(stream.packets[t][:k]))
-        elif t in rebuilt:
-            times.append(t + n - 1)
-            messages.append(tuple(rebuilt[t]))
+                message = rebuilt.get(d + j)
+                if message is not None:
+                    message[j] = x
+    # trace: every message as received, then the lost ones patched; a
+    # rebuilt message is known at slot t + n - 1, late when n - 1 > tau
+    times = list(range(t_count))
+    messages = [p[:k] for p in stream.packets[:t_count]]
+    misses = [False] * t_count
+    late = n - 1 > params.tau
+    for t in lost_messages:
+        message = rebuilt.get(t)
+        if message is None:
+            times[t] = messages[t] = None
         else:
-            times.append(None)
-            messages.append(None)
-    deadlines = tuple(t + params.tau for t in range(t_count))
-    misses = tuple(
-        tm is not None and tm > dl for tm, dl in zip(times, deadlines)
-    )
-    return DecodeTrace(tuple(times), deadlines, misses, tuple(messages))
+            times[t], messages[t], misses[t] = t + n - 1, tuple(message), late
+    deadlines = tuple(range(params.tau, params.tau + t_count))
+    return DecodeTrace(tuple(times), deadlines, tuple(misses), tuple(messages))
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +403,48 @@ class GilbertElliottSource:
 
 
 _MESSAGE_SEED_SALT = 0xA5A55A5A
+# the most 32-bit words one getrandbits call in _uniform_draws asks for
+_CHUNK_WORDS = 1 << 16
+
+
+def _uniform_draws(seed: int, q: int, count: int) -> list[int]:
+    """[random.Random(seed).randrange(q) for _ in range(count)], drawn from
+    whole 32-bit Mersenne Twister outputs in batches.
+
+    In CPython, randrange(q) rejects getrandbits(q.bit_length()) results
+    >= q, getrandbits(k) for k <= 32 is the next 32-bit output shifted right
+    by 32 - k, and getrandbits(32 * N) packs the next N outputs, least
+    significant first. So each draw is word >> shift, kept when
+    word < q << shift. The batches may draw words past the last one kept;
+    the generator serves this call alone, so nothing reads them.
+    """
+    rng = random.Random(seed)
+    typecode = "I" if array("I").itemsize == 4 else "L"  # unsigned, 4 bytes
+    bits = q.bit_length()
+    shift = 32 - bits
+    limit = q << shift
+    out: list[int] = []
+    while len(out) < count:
+        # each word is kept with probability q / 2**bits >= 1/2; ask for the
+        # expected number of words and a little more, at most one chunk
+        size = min(((count - len(out)) << bits) // q + 32, _CHUNK_WORDS)
+        words = array(typecode, rng.getrandbits(32 * size).to_bytes(4 * size, sys.byteorder))
+        if sys.byteorder == "big":  # the last output drawn is the most significant word
+            words.reverse()
+        out += [word >> shift for word in words if word < limit]
+    del out[count:]
+    return out
 
 
 def simulate(code: LinearCode, params: StreamingParams, source, seed: int) -> dict:
     """Encode random messages, apply the source's losses, decode, summarize.
 
     Message payloads use a Mersenne Twister seeded with seed XOR a fixed salt,
-    so loss and payload draws are decoupled but both reproducible. Returns
-    {"slots", "admissible", "windows_inadmissible", "messages_failed",
+    so loss and payload draws are decoupled but both reproducible. The
+    payload symbols, message by message, are that generator's randrange(q)
+    draws, read from whole 32-bit words in batches (_uniform_draws). Every
+    decoded message is checked against the one sent. Returns {"slots",
+    "admissible", "windows_inadmissible", "messages_failed",
     "deadline_misses", "seed"}.
     """
     _instance(code, LinearCode, "code")
@@ -431,12 +468,14 @@ def simulate(code: LinearCode, params: StreamingParams, source, seed: int) -> di
     t_count = slots - (n - 1)
     if t_count < 1:
         raise BadParameters(f"{slots} slots leave no room for messages (n={n})")
-    rng = random.Random(_json_int(seed, "seed") ^ _MESSAGE_SEED_SALT)
-    msgs = [[rng.randrange(code.field.q) for _ in range(k)] for _ in range(t_count)]
-    stream = _encode(code, _parity_map(code), msgs, loss)
+    # symbol i of message t is payload[t * k + i]
+    payload = _uniform_draws(_json_int(seed, "seed") ^ _MESSAGE_SEED_SALT, code.field.q,
+                             t_count * k)
+    columns = [payload[i::k] for i in range(k)]
+    stream = _encode(code, _parity_map(code), columns, loss)
     trace = de_decode(stream, code, params)
-    for sent, got in zip(msgs, trace.messages):
-        if got is not None and tuple(sent) != got:
+    for sent, got in zip(zip(*columns), trace.messages):
+        if got is not None and sent != got:
             raise RuntimeError("decoder returned a wrong message; this is a bug")
     bad_windows = _count_inadmissible_windows(loss, slots, ch)
     return {

@@ -10,7 +10,8 @@ and per-pattern independence loop (with its first-path variant) that one
 prefix-sharing walk replaced, and the syndrome-then-solve erasure decoder
 and right-systematic-form generator that one erased-coordinate map
 replaced, and the stream encoder and decoder that worked one diagonal at a
-time before both moved to whole-stream row operations.
+time before both moved to whole-stream row operations, and the simulator as
+it was when every payload symbol was its own randrange(q) call.
 They are deliberately left as they were: tests run both sides
 on the same inputs and require identical matrices, solutions, verdicts,
 pattern orders, exception types and messages.
@@ -18,10 +19,19 @@ pattern orders, exception types and messages.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import random
 
-from erasurelab.algebra import Matrix, _digits, field_make, vectors_independent
+from erasurelab.algebra import (
+    Matrix,
+    _digits,
+    _instance,
+    _json_int,
+    field_make,
+    vectors_independent,
+)
 from erasurelab.channel import (
     ChannelParams,
     ErasurePattern,
@@ -41,7 +51,17 @@ from erasurelab.errors import (
     TooLarge,
     Unrecoverable,
 )
-from erasurelab.streaming import DecodeTrace, PacketStream
+from erasurelab.codes import LinearCode
+from erasurelab.streaming import (
+    _MESSAGE_SEED_SALT,
+    DecodeTrace,
+    GilbertElliottSource,
+    PacketStream,
+    PeriodicSource,
+    StreamingParams,
+    ge_source,
+    periodic_pattern,
+)
 
 _SUBSET_CAP = 1 << 20
 _SEARCH_CAP = 1 << 24
@@ -358,6 +378,48 @@ def de_decode(stream, code, params):
     deadlines = tuple(t + params.tau for t in range(t_count))
     misses = tuple(tm is not None and tm > dl for tm, dl in zip(times, deadlines))
     return DecodeTrace(tuple(times), deadlines, misses, tuple(messages))
+
+
+def simulate(code, params, source, seed) -> dict:
+    """One randrange(q) call per payload symbol, message by message, the
+    stream through the per-diagonal de_encode and de_decode above, every
+    decoded message checked against the one sent, and each length-w window
+    of the loss judged on its own."""
+    _instance(code, LinearCode, "code")
+    ch = _instance(params, StreamingParams, "params").channel
+    n, k = code.n, code.k
+    if isinstance(source, PeriodicSource):
+        slots = source.periods * ch.w
+        loss = periodic_pattern(ch, source.periods)
+    elif isinstance(source, GilbertElliottSource):
+        slots = _json_int(source.slots, "slots")
+        loss = ge_source(source.good_to_bad, source.bad_to_good, source.loss_good,
+                         source.loss_bad, slots, seed)
+    else:
+        raise BadParameters(f"unknown source {source!r}")
+    t_count = slots - (n - 1)
+    if t_count < 1:
+        raise BadParameters(f"{slots} slots leave no room for messages (n={n})")
+    rng = random.Random(_json_int(seed, "seed") ^ _MESSAGE_SEED_SALT)
+    msgs = [[rng.randrange(code.field.q) for _ in range(k)] for _ in range(t_count)]
+    stream = dataclasses.replace(de_encode(code, msgs), erased=frozenset(loss))
+    trace = de_decode(stream, code, params)
+    for sent, got in zip(msgs, trace.messages):
+        if got is not None and tuple(sent) != got:
+            raise RuntimeError("decoder returned a wrong message")
+    lost = set(loss)
+    bad_windows = 0
+    for s in range(max(slots - ch.w, 0) + 1):
+        window = sum(1 << i for i in range(ch.w) if s + i in lost)
+        bad_windows += window != 0 and not _mask_admissible(window, ch)
+    return {
+        "slots": slots,
+        "admissible": bad_windows == 0,
+        "windows_inadmissible": bad_windows,
+        "messages_failed": trace.messages_failed,
+        "deadline_misses": trace.deadline_misses,
+        "seed": seed,
+    }
 
 
 def _n_choose(n: int, k: int) -> int:

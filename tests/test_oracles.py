@@ -1,10 +1,11 @@
 """The shared elimination routine, Zech-logarithm addition, the pattern
 families, the prefix-sharing independence walk, the minimum-distance subset
-search, the exhaustive searches, erasure decoding, the generator and the
-stream encoder against the reference code in ``oracles``: same ranks,
-matrices, solutions, decoded words, encoded codewords, verdicts, witnesses,
-``patterns_checked`` counts, pattern orders, first-found parity checks,
-exception types and messages on seeded random inputs."""
+search, the exhaustive searches, erasure decoding, the generator, the
+stream encoder and the simulator against the reference code in
+``oracles``: same ranks, matrices, solutions, decoded words, encoded
+codewords, verdicts, witnesses, ``patterns_checked`` counts, pattern orders,
+first-found parity checks, simulate summaries, exception types and messages
+on seeded random inputs."""
 
 from __future__ import annotations
 
@@ -58,10 +59,13 @@ from erasurelab.codes import (
 )
 from erasurelab.errors import ErasureLabError, InconsistentSyndrome
 from erasurelab.streaming import (
+    GilbertElliottSource,
     PacketStream,
+    PeriodicSource,
     StreamingParams,
     de_decode,
     de_encode,
+    simulate,
     verify_streaming_code,
 )
 
@@ -326,6 +330,59 @@ def test_stream_coding_matches_per_diagonal_reference(q):
                 else:
                     kinds.add("failed" if decoded[1].messages_failed else "ok")
     assert kinds >= {"ok", "failed", "InconsistentSyndrome", "NotSystematic"}
+
+
+def _simulate_cases():
+    """(what, code, params, source) for the simulator: the benchmark's stream
+    channels, clean and lossy Gilbert-Elliott runs, late and on-time
+    deliveries, a field past the flat tables, and runs that raise."""
+    for a, b, e, w in ((1, 2, 2, 9), (2, 3, 2, 9), (1, 2, 1, 8), (2, 3, 2, 7), (1, 2, 2, 10),
+                       (1, 1, 2, 5)):
+        params = StreamingParams(ChannelParams(a, b, e, w), w - 1)
+        yield "clean", mds_code(w, b + e), params, PeriodicSource(1000 // w)
+    p727 = StreamingParams(ChannelParams(2, 3, 2, 7), 6)
+    yield "README", mds_code(7, 5), p727, GilbertElliottSource(0.1, 0.5, 0.05, 0.8, 120)
+    yield "failed", mds_code(7, 5), p727, GilbertElliottSource(0.3, 0.3, 0.1, 0.9, 400)
+    # diagonals of length n = 9 > w finish two slots past the deadline w - 1
+    yield "late", mds_code(9, 7), p727, PeriodicSource(40)
+    yield "clean", mds_code(9, 7), StreamingParams(p727.channel, 10), PeriodicSource(40)
+    p929 = StreamingParams(ChannelParams(1, 2, 2, 9), 8)
+    yield "clean", mds_code(9, 4, 257), p929, PeriodicSource(30)
+    yield "lossy", mds_code(9, 4, 257), p929, GilbertElliottSource(0.1, 0.5, 0.05, 0.8, 300)
+    yield "raise", mds_code(7, 5), p727, GilbertElliottSource(0.1, 0.5, 0.0, 0.5, 6)
+    no_generator = LinearCode(Matrix(field_make(3), [[1, 0, 1, 0], [0, 1, 1, 0]]))
+    yield "raise", no_generator, StreamingParams(ChannelParams(1, 1, 1, 3), 2), PeriodicSource(5)
+    yield "raise", mds_code(8, 4), StreamingParams(ChannelParams(1, 3, 1, 8), 7), PeriodicSource(2)
+    yield "raise", mds_code(7, 5), p727, object()
+
+
+def _check_simulate(what, code, params, source, seed):
+    got = _outcome(simulate, code, params, source, seed)
+    assert got == _outcome(oracles.simulate, code, params, source, seed), (what, source)
+    assert (got[0] == "raise") == (what == "raise"), (what, source, got)
+    if what != "raise":
+        failed, late = got[1]["messages_failed"], got[1]["deadline_misses"]
+        assert what != "clean" or failed == late == 0, (source, got)
+        assert what != "failed" or failed, (source, got)
+        assert what != "late" or late, (source, got)
+
+
+@pytest.mark.parametrize("seed", (0, 7, -11, 2**40 + 3))
+def test_simulate_matches_per_symbol_reference(seed):
+    """Batched payload draws, column encoding and the sliced trace against
+    the simulator that drew one randrange(q) per symbol and coded one
+    diagonal at a time: equal summaries or equal errors."""
+    for case in _simulate_cases():
+        _check_simulate(*case, seed)
+
+
+def test_simulate_matches_per_symbol_reference_over_gf65521():
+    """The same over GF(65521), where a draw keeps 17 of 32 bits; short
+    streams, since the reference decoder is slow at this size."""
+    _check_simulate("clean", mds_code(9, 4, 65521), StreamingParams(ChannelParams(1, 2, 2, 9), 8),
+                    PeriodicSource(2), -11)
+    _check_simulate("failed", mds_code(5, 3, 65521), StreamingParams(ChannelParams(1, 1, 2, 5), 4),
+                    GilbertElliottSource(0.3, 0.3, 0.1, 0.9, 30), -11)
 
 
 # ---------------------------------------------------------------------------

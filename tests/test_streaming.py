@@ -507,6 +507,22 @@ def test_simulate_guards():
 _P727 = StreamingParams(ChannelParams(2, 3, 2, 7), 6)
 
 
+def test_simulate_streams_the_randrange_draws_message_by_message(monkeypatch):
+    """The stream simulate decodes is de_encode of one randrange(q) draw per
+    symbol, message by message, with the source's losses erased."""
+    streams = []
+    decode = streaming.de_decode
+    monkeypatch.setattr(
+        streaming, "de_decode", lambda stream, *a: streams.append(stream) or decode(stream, *a)
+    )
+    code, seed = mds_code(7, 4), -5
+    simulate(code, _P727, PeriodicSource(4), seed)
+    rng = random.Random(seed ^ streaming._MESSAGE_SEED_SALT)
+    msgs = [[rng.randrange(code.field.q) for _ in range(code.k)] for _ in range(4 * 7 - 6)]
+    loss = frozenset(periodic_pattern(_P727.channel, 4))
+    assert streams == [dataclasses.replace(de_encode(code, msgs), erased=loss)]
+
+
 @pytest.mark.parametrize("run, what", [
     (lambda: simulate(mds_code(7, 5), _P727, PeriodicSource(2.5), 1), "periods"),
     (lambda: simulate(mds_code(7, 5), _P727, PeriodicSource(True), 1), "periods"),
@@ -544,3 +560,30 @@ def test_de_decode_reduces_h_once_per_erased_set(monkeypatch):
     diagonals = {t - j for t in loss if t < len(msgs) for j in range(code.k)}
     erased_sets = {tuple(j for j in range(9) if d + j in loss) for d in diagonals}
     assert len(reductions) == len(erased_sets) < len(diagonals)
+
+
+# q = 2^m rejects about half the words; q = 65536 keeps 17 bits, a shift of 15
+_DRAW_FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 16, 17, 31, 32, 127, 128, 256, 257, 1024, 65521, 65536)
+# simulate seeds the payload with seed ^ salt, which is negative for a negative seed
+_DRAW_SEEDS = tuple(s ^ streaming._MESSAGE_SEED_SALT for s in (0, 1, 11, -1, -977, 2**40 + 3))
+
+
+def _randrange_draws(seed, q, count):
+    rng = random.Random(seed)
+    return [rng.randrange(q) for _ in range(count)]
+
+
+@pytest.mark.parametrize("q", _DRAW_FIELDS)
+def test_uniform_draws_are_randrange_draw_for_draw(q, monkeypatch):
+    # 64-word chunks, so that 300 draws cross several chunk boundaries
+    monkeypatch.setattr(streaming, "_CHUNK_WORDS", 64)
+    for seed in _DRAW_SEEDS:
+        for count in (1, 7, 300):
+            assert streaming._uniform_draws(seed, q, count) == _randrange_draws(seed, q, count)
+
+
+@pytest.mark.parametrize("q", (2, 9, 257, 65536))
+def test_uniform_draws_past_one_full_chunk(q):
+    count = streaming._CHUNK_WORDS + 1000
+    seed = -977 ^ streaming._MESSAGE_SEED_SALT
+    assert streaming._uniform_draws(seed, q, count) == _randrange_draws(seed, q, count)
