@@ -124,6 +124,14 @@ def _instance(value, cls, what: str):
     return value
 
 
+def _tuple(value, what: str) -> tuple:
+    """tuple(value); a value that is not a list is rejected as "what: value"."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise BadParameters(f"{what}: {value!r}") from None
+
+
 class Field:
     """GF(p^m) with elements encoded as canonical integers in [0, q).
 
@@ -432,7 +440,7 @@ class Poly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        c = tuple(self.field.check(x) for x in self.coeffs)
+        c = tuple(map(self.field.check, _tuple(self.coeffs, "coefficients are not a list")))
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
@@ -532,7 +540,9 @@ class Matrix:
     __slots__ = ("field", "data")
 
     def __init__(self, field: Field, rows):
-        data = tuple(tuple(field.check(x) for x in r) for r in rows)
+        check = _instance(field, Field, "field").check
+        rows = _tuple(rows, "matrix rows are not a list")
+        data = tuple(tuple(map(check, _tuple(r, "matrix row is not a list"))) for r in rows)
         if not data or not data[0]:
             raise DimensionMismatch("matrix must have at least one row and column")
         width = len(data[0])
@@ -656,7 +666,7 @@ def vectors_independent(field: Field, vectors) -> bool:
     return all(_push(field, basis, v) for v in vectors)
 
 
-def _first_dependent(field: Field, cols, supports, path: bool = False):
+def _first_dependent(field: Field, cols, supports):
     """(supports walked, the first whose cols are dependent, or None).
 
     A support is a tuple of indices into cols. One pivot basis is carried
@@ -669,11 +679,6 @@ def _first_dependent(field: Field, cols, supports, path: bool = False):
     and applies only the basis rows after it, storing each level on the
     way: the same row operations as _reduce, so the same basis rows, but in
     lexicographic order about one row operation per pushed column.
-
-    With path, the walk stops at the first support that does not extend the
-    one before it, unpushed and uncounted: in lexicographic order the
-    supports walked are then the first path of the set-enumeration tree,
-    down to its first leaf.
     """
     submul, scale, inv, n = field.submul, field.scale, field.inv, len(cols)
     basis: list = []
@@ -686,8 +691,6 @@ def _first_dependent(field: Field, cols, supports, path: bool = False):
             if a != b:
                 break
             keep += 1
-        if path and keep < len(prev):
-            break
         checked += 1
         del basis[keep:]
         del levels[keep + 1 :]

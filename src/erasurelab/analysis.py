@@ -39,6 +39,7 @@ from .algebra import (
     Matrix,
     _digits,
     _first_dependent,
+    _instance,
     _json_int,
     _push,
     _reduce,
@@ -109,6 +110,7 @@ class RateReport:
 
 
 def rate_report(params: ChannelParams) -> RateReport:
+    _instance(params, ChannelParams, "params")
     a, b, e, w = params.a, params.b, params.e, params.w
     span = b + e
     r_opt = Fraction(w - span, w)
@@ -408,9 +410,9 @@ def _dfs(field, r: int, groups, depth: int, cols, candidates):
 def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
     """First [P | I] code recovering every pattern of family(), or None.
 
-    family() builds the family's full-length unions, which are cut to their
-    r-entry supports and grouped once here for one serial scan; workers is
-    validated only.
+    family() builds the masks of the family's full-length unions, which are
+    cut to their r-entry supports and grouped once here for one serial scan;
+    workers is validated only.
     """
     k = _json_int(n, "n") - r
     if k < 1:
@@ -426,7 +428,7 @@ def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
         count = q ** rk if rk * math.log10(q) < 4300 else f"{q}^{rk}"
         raise TooLarge(f"q^(r*k) = {count} candidates exceed the search cap")
     field = field_make(q)  # validates q, including NotPrimePower
-    groups = _prep_groups(n, r, [s for s in family() if len(s) == r])
+    groups = _prep_groups(n, r, _supports(n, [m for m in family() if m.bit_count() == r]))
     cols = _dfs(field, r, groups, 0, [], _zero_one(q, r))
     if cols is None:
         return None

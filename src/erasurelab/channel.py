@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .algebra import _first_dependent, _instance, _json_int, _recovery, columns_independent
+from .algebra import _first_dependent, _instance, _json_int, _recovery, _tuple, columns_independent
 from .codes import LinearCode
 from .errors import (
     BadParameters,
@@ -63,10 +63,7 @@ class ErasurePattern:
     def __post_init__(self):
         if _json_int(self.n, "pattern length") < 1:
             raise BadParameters(f"pattern length must be >= 1, got {self.n}")
-        try:
-            support = tuple(self.support)
-        except TypeError:
-            raise BadParameters(f"support is not a list: {self.support!r}") from None
+        support = _tuple(self.support, "support is not a list")
         for i in support:
             _json_int(i, "support index")
         sup = tuple(sorted(set(support)))
@@ -89,9 +86,9 @@ class VerificationReport:
 
     witness is the lexicographically smallest failing pattern (None on pass).
     On a failure, patterns_checked counts the patterns walked in lex order up
-    to and including the witness. A pass is decided on a cover of the family
-    (see _verify_family), and patterns_checked is then the family size, not
-    a count of the patterns pushed.
+    to and including the witness. A pass is decided on the family's first
+    path and a cover (see _verify_family); patterns_checked is then the
+    family size, not a count of the patterns pushed.
     """
 
     verdict: bool
@@ -137,7 +134,8 @@ def is_window_admissible(pattern: ErasurePattern, params: ChannelParams) -> bool
 
 
 def _admissible_supports(params: ChannelParams):
-    """Admissible window supports, lexicographic (empty first).
+    """Admissible window supports, lexicographic (empty first), walked lazily
+    once the call has checked the cap.
 
     A pre-order walk of the set-enumeration tree: each set is followed by its
     extensions with larger indices. Admissibility is closed under taking
@@ -146,14 +144,18 @@ def _admissible_supports(params: ChannelParams):
     w = params.w
     if w > _ENUM_N_CAP:
         raise TooLarge(f"2^{w} window patterns exceed the enumeration cap")
-    stack = [(0, ())]
-    while stack:
-        mask, sup = stack.pop()
-        yield sup
-        for i in range(w - 1, sup[-1] if sup else -1, -1):
-            ext = mask | 1 << i
-            if _mask_admissible(ext, params):
-                stack.append((ext, sup + (i,)))
+
+    def walk():
+        stack = [(0, ())]
+        while stack:
+            mask, sup = stack.pop()
+            yield sup
+            for i in range(w - 1, sup[-1] if sup else -1, -1):
+                ext = mask | 1 << i
+                if _mask_admissible(ext, params):
+                    stack.append((ext, sup + (i,)))
+
+    return walk()
 
 
 # cached per channel: a process that passes several codes on one channel repeats this walk
@@ -163,8 +165,8 @@ def _window_count(params: ChannelParams) -> int:
     return sum(1 for _ in _admissible_supports(params))
 
 
-def _window_cover(params: ChannelParams) -> list[tuple[int, ...]]:
-    """A cover of the admissible window supports, sorted: each length-b burst
+def _window_cover(params: ChannelParams) -> set[int]:
+    """Masks of a cover of the admissible window supports: each length-b burst
     with e indices outside it, and each a-subset that no burst covers up to e.
 
     Every admissible E lies inside one of them. If some burst B leaves at
@@ -179,7 +181,7 @@ def _window_cover(params: ChannelParams) -> list[tuple[int, ...]]:
     masks = _burst_extras(params.w, params.b, params.e)
     subsets = map(sum, itertools.combinations([1 << i for i in range(params.w)], params.a))
     masks.update(m for m in subsets if not _in_burst(m, params))
-    return _supports(params.w, masks)
+    return masks
 
 
 def enumerate_admissible_windows(params: ChannelParams) -> list[ErasurePattern]:
@@ -207,9 +209,9 @@ def _supports(n: int, masks) -> list[tuple[int, ...]]:
     return sorted(tuple(i for i in range(n) if m >> i & 1) for m in masks)
 
 
-def _unions(n: int, xs, ys) -> list[tuple[int, ...]]:
-    """The support of every distinct x | y over the two mask lists, sorted."""
-    return _supports(n, {x | y for x in xs for y in ys})
+def _unions(xs, ys) -> set[int]:
+    """Every distinct x | y over the two mask lists."""
+    return {x | y for x in xs for y in ys}
 
 
 def _burst_extras(n: int, b: int, e: int) -> set[int]:
@@ -222,20 +224,18 @@ def _burst_extras(n: int, b: int, e: int) -> set[int]:
     }
 
 
-def _two_bursts(
-    n: int, b1: int, b2: int, cover: bool = False, cyclic: bool = False
-) -> list[tuple[int, ...]]:
-    """Unions of a burst of length <= b1 and one of length <= b2, wrapping
-    around mod n when cyclic; with cover, of length exactly b1 and b2. Every
-    shorter burst lies inside a full-length one, so each union lies inside a
-    full-length union."""
+def _two_bursts(n: int, b1: int, b2: int, cover: bool = False, cyclic: bool = False) -> set[int]:
+    """Masks of the unions of a burst of length <= b1 and one of length <= b2,
+    wrapping around mod n when cyclic; with cover, of length exactly b1 and
+    b2. Every shorter burst lies inside a full-length one, so each union lies
+    inside a full-length union."""
     if (_json_int(n, "n") < 1 or _json_int(b1, "b1") < 1 or _json_int(b2, "b2") < 1
             or b1 > n or b2 > n):
         raise BadParameters(f"bad burst enumeration parameters n={n}, b1={b1}, b2={b2}")
     if n > _ENUM_N_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {_ENUM_N_CAP}")
     lengths = ([b1], [b2]) if cover else (range(1, b1 + 1), range(1, b2 + 1))
-    return _unions(n, *(_bursts(n, ls, cyclic) for ls in lengths))
+    return _unions(*(_bursts(n, ls, cyclic) for ls in lengths))
 
 
 def enumerate_b1b2_patterns(n: int, b1: int, b2: int) -> list[ErasurePattern]:
@@ -244,13 +244,13 @@ def enumerate_b1b2_patterns(n: int, b1: int, b2: int) -> list[ErasurePattern]:
     Overlapping and abutting bursts are allowed, so every single burst of
     length <= max(b1, b2) appears too. Deduplicated, lexicographic order.
     """
-    return [ErasurePattern(n, s) for s in _two_bursts(n, b1, b2)]
+    return [ErasurePattern(n, s) for s in _supports(n, _two_bursts(n, b1, b2))]
 
 
-def _burst_plus_random(n: int, b: int, e: int, cover: bool = False) -> list[tuple[int, ...]]:
-    """Unions of a burst of length <= b with <= e extra indices; with cover,
-    of a length-b burst with min(e, n - b) extras outside it. Each union lies
-    inside such a full-length one: lengthen the burst and add extras."""
+def _burst_plus_random(n: int, b: int, e: int, cover: bool = False) -> set[int]:
+    """Masks of the unions of a burst of length <= b with <= e extra indices;
+    with cover, of a length-b burst with min(e, n - b) extras outside it. Each
+    union lies inside such a full-length one: lengthen the burst, add extras."""
     if (_json_int(n, "n") < 1 or _json_int(b, "b") < 1 or b > n
             or _json_int(e, "e") < 0):
         raise BadParameters(f"bad parameters n={n}, b={b}, e={e}")
@@ -261,15 +261,15 @@ def _burst_plus_random(n: int, b: int, e: int, cover: bool = False) -> list[tupl
     if approx > 1 << 22:
         raise TooLarge(f"~{approx} raw patterns exceed the enumeration cap")
     if cover:
-        return _supports(n, _burst_extras(n, b, e))
+        return _burst_extras(n, b, e)
     extras = [_mask(x) for j in range(min(e, n) + 1) for x in itertools.combinations(range(n), j)]
-    return _unions(n, bursts, extras)
+    return _unions(bursts, extras)
 
 
 def enumerate_burst_plus_random(n: int, b: int, e: int) -> list[ErasurePattern]:
     """All unions of one burst of length in [1, b] with up to e arbitrary
     extra indices. Deduplicated, lexicographic order."""
-    return [ErasurePattern(n, s) for s in _burst_plus_random(n, b, e)]
+    return [ErasurePattern(n, s) for s in _supports(n, _burst_plus_random(n, b, e))]
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +331,7 @@ def decode_erasures(code: LinearCode, received) -> list[int]:
     Raises Unrecoverable when the erased columns are dependent and
     InconsistentSyndrome when the known symbols already contradict the code.
     """
-    try:
-        received = list(received)
-    except TypeError:
-        raise BadParameters(f"received word is not a list: {received!r}") from None
+    received = list(_tuple(received, "received word is not a list"))
     if len(received) != code.n:
         raise LengthMismatch(f"received word has length {len(received)}, n={code.n}")
     f = code.field
@@ -348,37 +345,42 @@ def decode_erasures(code: LinearCode, received) -> list[int]:
     return received
 
 
-def _verify_family(code: LinearCode, walk, cover, size) -> VerificationReport:
+def _verify_family(code: LinearCode, path, walk, cover, size) -> VerificationReport:
     """Report on the family whose supports walk() yields in lexicographic
-    order, given a cover(): family supports such that every family support
-    lies inside one of them, and its size().
+    order, given path, its supports down to its first leaf; cover(), masks of
+    family supports that hold every family support; and its size().
 
-    The walk's first path, down to its first leaf, is pushed first; a
-    dependent support there is the witness, with the count of the full walk.
-    Otherwise the cover is pushed. Columns inside an independent set are
-    independent, so when every cover support is, the family passes with
-    size() patterns checked. Only when some cover support is dependent is the
-    family walked again from the start, for the first witness and its count.
+    The path is pushed first; a dependent support there is the witness, and
+    its place on the path is its place in the walk. Otherwise the cover is
+    pushed. Columns inside an independent set are independent, so when every
+    cover support is, the family passes with size() patterns checked. Only
+    when some cover support is dependent is the family walked from the start,
+    for the first witness and its count.
     """
     field, cols = code.field, list(zip(*code.h.data))
-    checked, bad = _first_dependent(field, cols, walk(), path=True)
+    checked, bad = _first_dependent(field, cols, path)
     if bad is None:
-        if _first_dependent(field, cols, cover())[1] is None:
+        if _first_dependent(field, cols, _supports(code.n, cover()))[1] is None:
             return VerificationReport(True, None, size())
         checked, bad = _first_dependent(field, cols, walk())
     return VerificationReport(False, ErasurePattern(code.n, bad), checked)
 
 
 def _verify_windows(code: LinearCode, params: ChannelParams) -> VerificationReport:
-    """_verify_family on the admissible windows of the channel."""
-    family = (partial(f, params) for f in (_admissible_supports, _window_cover, _window_count))
-    return _verify_family(code, *family)
+    """_verify_family on the admissible windows of the channel. No window
+    holds more than b + e erasures, so the first path is [0, b + e)'s prefixes."""
+    walk = _admissible_supports(params)  # TooLarge past the cap, before any push
+    path = [tuple(range(j)) for j in range(params.b + params.e + 1)]
+    cover, size = (partial(f, params) for f in (_window_cover, _window_count))
+    return _verify_family(code, path, walk.__iter__, cover, size)
 
 
 def _verify_two_bursts(code: LinearCode, b1: int, b2: int, cyclic: bool) -> VerificationReport:
-    family = _two_bursts(code.n, b1, b2, cyclic=cyclic)
-    cover = partial(_two_bursts, code.n, b1, b2, True, cyclic)
-    return _verify_family(code, family.__iter__, cover, family.__len__)
+    """_verify_family on two bursts; the first path is [0, min(b1 + b2, n))'s prefixes."""
+    n, masks = code.n, _two_bursts(code.n, b1, b2, cyclic=cyclic)
+    path = [tuple(range(j)) for j in range(1, min(b1 + b2, n) + 1)]
+    cover = partial(_two_bursts, n, b1, b2, True, cyclic)
+    return _verify_family(code, path, partial(_supports, n, masks), cover, masks.__len__)
 
 
 def is_b1b2_code(code: LinearCode, b1: int, b2: int) -> VerificationReport:

@@ -16,6 +16,7 @@ from .algebra import (
     Matrix,
     Poly,
     _first_dependent,
+    _instance,
     _json_int,
     _recovery,
     _rref,
@@ -48,7 +49,7 @@ class LinearCode:
     __slots__ = ("field", "h", "n", "k", "provenance")
 
     def __init__(self, h: Matrix, provenance: dict | None = None):
-        self.field = h.field
+        self.field = _instance(h, Matrix, "parity-check matrix").field
         self.h = h
         self.n = h.ncols
         self.k = h.ncols - h.nrows
@@ -239,7 +240,7 @@ def cyclic_from_h(n: int, q: int, h_coeffs) -> CyclicCode:
     cyclic code, and violating it raises NotCyclic.
     """
     f = field_make(q)
-    h = Poly(f, tuple(h_coeffs))
+    h = Poly(f, h_coeffs)
     k = h.degree
     if k < 1 or k >= _json_int(n, "n"):
         raise BadReciprocal(f"need 0 < deg h < n, got deg {k}, n={n}")

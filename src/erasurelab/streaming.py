@@ -26,7 +26,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, fields
 
-from .algebra import _instance, _json_int, columns_independent, field_make
+from .algebra import _instance, _json_int, _tuple, columns_independent, field_make
 from .channel import (
     ChannelParams,
     VerificationReport,
@@ -288,10 +288,7 @@ def is_stream_admissible(loss, length: int, params: ChannelParams) -> bool:
     """True iff every length-w window of the loss sequence is admissible."""
     if _json_int(length, "length") < 0:
         raise BadParameters(f"need length >= 0, got {length}")
-    try:
-        loss = tuple(loss)
-    except TypeError:
-        raise BadParameters(f"loss is not a list of slots: {loss!r}") from None
+    loss = _tuple(loss, "loss is not a list of slots")
     for i in loss:
         if not 0 <= _json_int(i, "loss index") < length:
             raise BadParameters(f"loss index {i} outside the stream [0, {length})")
@@ -368,9 +365,9 @@ def verify_streaming_code(code: LinearCode, params: StreamingParams) -> Verifica
     patterns_checked counts the windows walked up to it.
 
     Admissibility is closed under subsets, so a pass is decided by the
-    inclusion-maximal windows alone (channel._window_cover), once the first
-    path of the window walk has passed; patterns_checked on a pass is the
-    number of admissible windows, not a count of the patterns pushed.
+    inclusion-maximal windows (channel._window_cover) once the walk's first
+    path, the prefixes of [0, b + e), has passed; patterns_checked on a pass
+    is the number of admissible windows, not a count of the patterns pushed.
     """
     _instance(code, LinearCode, "code")
     w = _instance(params, StreamingParams, "params").channel.w

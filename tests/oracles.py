@@ -20,6 +20,7 @@ pattern orders, exception types and messages.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -76,7 +77,9 @@ class DigitField:
     def __init__(self, field):
         self.field = field
         self.q, self.p, self.m = field.q, field.p, field.m
-        self._dig = [_digits(v, field.p, field.m) for v in range(field.q)]
+        # only the add/sub/neg of extension fields of odd characteristic read digits
+        digits = field.m > 1 and field.p != 2
+        self._dig = [_digits(v, field.p, field.m) for v in range(field.q)] if digits else None
         self.mul = field.mul
         self.inv = field.inv
 
@@ -120,9 +123,15 @@ class DigitField:
         return [self.mul(c, x) for x in u]
 
 
+@functools.lru_cache(maxsize=None)
+def digit_field(field) -> DigitField:
+    """The DigitField of a field, built once per field."""
+    return DigitField(field)
+
+
 def mat_rank(m: Matrix) -> int:
     """Rank by Gaussian elimination; pivot = first nonzero scanning down."""
-    f = DigitField(m.field)
+    f = digit_field(m.field)
     rows = [list(r) for r in m.data]
     nr, nc = m.nrows, m.ncols
     rank = 0
@@ -151,7 +160,7 @@ def mat_rank(m: Matrix) -> int:
 def systematic_form(m: Matrix, side: str = "left") -> Matrix:
     if side not in ("left", "right"):
         raise BadParameters(f"side must be 'left' or 'right', got {side!r}")
-    f = DigitField(m.field)
+    f = digit_field(m.field)
     nr, nc = m.nrows, m.ncols
     if nr > nc:
         raise DimensionMismatch("more rows than columns")
@@ -184,7 +193,7 @@ def solve_for_columns(h: Matrix, cols, syndrome) -> list[int]:
     syndrome = list(syndrome)
     if len(syndrome) != h.nrows:
         raise DimensionMismatch("syndrome length must equal the row count")
-    f = DigitField(h.field)
+    f = digit_field(h.field)
     k = len(cols)
     aug = [[h.data[r][c] for c in cols] + [h.field.check(syndrome[r])] for r in range(h.nrows)]
     filled = 0
@@ -213,7 +222,7 @@ def solve_for_columns(h: Matrix, cols, syndrome) -> list[int]:
 
 
 def nullspace_generator(code) -> Matrix:
-    f = DigitField(code.field)
+    f = digit_field(code.field)
     h = code.h
     rows = [list(r) for r in h.data]
     nr, nc = h.nrows, h.ncols
@@ -437,7 +446,7 @@ def mds_subblock_check(code, b: int, e: int) -> bool:
     h = code.h
     if h.nrows != b + e:
         raise BadParameters(f"need n-k = b+e = {b + e}, got {h.nrows} parity rows")
-    f = DigitField(code.field)
+    f = digit_field(code.field)
     rows = [list(r) for r in h.data]
     for i in range(b):
         piv = next((r for r in range(i, b + e) if rows[r][i]), None)
@@ -483,19 +492,6 @@ def first_dependent(field, cols, supports):
         if not vectors_independent(field, [cols[j] for j in sup]):
             return checked, sup
     return checked, None
-
-
-def first_dependent_path(field, cols, supports):
-    """first_dependent over the supports up to the first one that does not
-    extend the support before it, which is left out."""
-    prev = ()
-    walked = []
-    for sup in supports:
-        if sup[: len(prev)] != prev:
-            break
-        walked.append(sup)
-        prev = sup
-    return first_dependent(field, cols, walked)
 
 
 # ---------------------------------------------------------------------------

@@ -481,9 +481,9 @@ def _search_families(n):
     """Every two-burst and burst-random family the searches build at length n
     (e <= 3), with its row count r."""
     for b1, b2 in itertools.product(range(1, n + 1), repeat=2):
-        yield b1 + b2, analysis._two_bursts(n, b1, b2)
+        yield b1 + b2, analysis._supports(n, analysis._two_bursts(n, b1, b2))
     for b, e in itertools.product(range(1, n + 1), range(4)):
-        yield b + e, analysis._burst_plus_random(n, b, e)
+        yield b + e, analysis._supports(n, analysis._burst_plus_random(n, b, e))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -524,22 +524,26 @@ def test_maximal_matches_a_brute_force_superset_filter(n):
             assert any(s <= t for t in full_sets), (n, r, s)
 
 
+def _r_entry(masks, r):
+    return {m for m in masks if m.bit_count() == r}
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_search_takes_its_r_entry_supports_from_the_full_length_unions(n):
-    """The r-entry supports of each family the searches build are its
-    full-length unions with r entries, in the same order (searches need
-    b + e < n; larger e only builds larger families)."""
+    """The r-entry masks of each family the searches build are its
+    full-length unions with r entries, which _run_search sorts (searches
+    need b + e < n; larger e only builds larger families)."""
     for b1, b2 in itertools.product(range(1, n + 1), repeat=2):
         r = b1 + b2
         family, cover = analysis._two_bursts(n, b1, b2), analysis._two_bursts(n, b1, b2, cover=True)
-        assert [s for s in cover if len(s) == r] == [s for s in family if len(s) == r]
+        assert _r_entry(cover, r) == _r_entry(family, r)
     for b, e in itertools.product(range(1, n + 1), range(n + 1)):
         r = b + e
         if r > n:
             continue
         family = analysis._burst_plus_random(n, b, e)
         cover = analysis._burst_plus_random(n, b, e, cover=True)
-        assert [s for s in cover if len(s) == r] == [s for s in family if len(s) == r]
+        assert _r_entry(cover, r) == _r_entry(family, r)
 
 
 def test_search_returns_the_benchmark_tables_recorded_answers():

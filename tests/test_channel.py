@@ -7,6 +7,7 @@ import random
 import pytest
 
 import oracles
+from erasurelab import channel
 from erasurelab.algebra import Matrix, field_make
 from erasurelab.channel import (
     ChannelParams,
@@ -300,9 +301,39 @@ def test_wraparound_failure_carries_witness():
 
 
 # ---------------------------------------------------------------------------
-# covers: a passing verdict is decided on family supports that contain all
-# the others (channel._verify_family)
+# first paths and covers: a verdict first pushes its family's first path, in
+# closed form, and a pass is decided on family supports that contain all the
+# others (channel._verify_family)
 # ---------------------------------------------------------------------------
+
+
+def _first_path(family):
+    """The supports of a lexicographic family up to the first one that does
+    not extend the one before it: the first path of its set-enumeration
+    tree, down to its first leaf."""
+    path = family[:1]
+    for sup in family[1:]:
+        if sup[: len(path[-1])] != path[-1]:
+            break
+        path.append(sup)
+    return path
+
+
+class _Pushed(Exception):
+    pass
+
+
+def _push_and_stop(field, cols, supports):
+    raise _Pushed(list(supports))
+
+
+def _first_pushed(monkeypatch, verdict, *args):
+    """The supports a verdict hands the independence walk first."""
+    monkeypatch.setattr(channel, "_first_dependent", _push_and_stop)
+    with pytest.raises(_Pushed) as caught:
+        verdict(*args)
+    monkeypatch.undo()
+    return caught.value.args[0]
 
 
 def _assert_covers(n, cover, family):
@@ -320,39 +351,90 @@ def _assert_covers(n, cover, family):
         assert inside, sup
 
 
-def test_window_covers_match_the_reference_family():
+def test_window_covers_match_the_reference_family(monkeypatch):
+    """The verdict pushes the oracle family's first path first, which is the
+    closed form: the prefixes of [0, b + e), () included."""
     channels = _window_channels(11)
     assert len(channels) == 990
     for params in channels:
         family = [p.support for p in oracles.enumerate_admissible_windows(params)]
-        _assert_covers(params.w, _window_cover(params), family)
+        _assert_covers(params.w, _supports(params.w, _window_cover(params)), family)
+        span = params.b + params.e
+        path = [tuple(range(j)) for j in range(span + 1)]
+        assert _first_path(family) == path
+        code, streaming = mds_code(params.w, span), StreamingParams(params, params.w - 1)
+        assert _first_pushed(monkeypatch, verify_streaming_code, code, streaming) == path
     # a maximal support shorter than the burst-plus-extras ones
-    cover = _window_cover(ChannelParams(3, 3, 1, 9))
+    cover = _supports(9, _window_cover(ChannelParams(3, 3, 1, 9)))
     assert (0, 4, 8) in cover
     assert {len(sup) for sup in cover} == {3, 4}
 
 
-def test_list_family_covers_match_the_reference_families():
+def test_list_family_covers_match_the_reference_families(monkeypatch):
+    """The two-burst verdicts, straight and wrapping around, push the oracle
+    family's first path first: the prefixes of [0, min(b1 + b2, n))."""
+    paths = 0
     for n in range(1, 13):
+        code = LinearCode(Matrix(field_make(2), [[1] * n])) if n > 1 else None
         for b1, b2 in itertools.product(range(1, n + 1), repeat=2):
+            path = [tuple(range(j)) for j in range(1, min(b1 + b2, n) + 1)]
             family = [p.support for p in oracles.enumerate_b1b2_patterns(n, b1, b2)]
-            _assert_covers(n, _two_bursts(n, b1, b2, cover=True), family)
+            _assert_covers(n, _supports(n, _two_bursts(n, b1, b2, cover=True)), family)
+            families = [(family, is_b1b2_code)]
             if b2 <= b1 and n % b1 == 0:  # the check_wraparound family
                 masks = {i | j for i in oracles._cyclic_intervals(n, b1)
                          for j in oracles._cyclic_intervals(n, b2)}
-                family = [oracles._pattern_from_mask(n, m).support for m in masks]
-                _assert_covers(n, _two_bursts(n, b1, b2, cover=True, cyclic=True), family)
+                family = sorted(oracles._pattern_from_mask(n, m).support for m in masks)
+                cover = _two_bursts(n, b1, b2, cover=True, cyclic=True)
+                _assert_covers(n, _supports(n, cover), family)
+                families.append((family, check_wraparound))
+            for family, verdict in families:
+                assert _first_path(family) == path, (n, b1, b2)
+                if code:
+                    assert _first_pushed(monkeypatch, verdict, code, b1, b2) == path
+                paths += 1
         for b, e in itertools.product(range(1, n + 1), range(n + 1)):
             if b + e > n and n > 9:  # e > n - b only re-checks the large families
                 continue
             family = [p.support for p in oracles.enumerate_burst_plus_random(n, b, e)]
-            _assert_covers(n, _burst_plus_random(n, b, e, cover=True), family)
+            _assert_covers(n, _supports(n, _burst_plus_random(n, b, e, cover=True)), family)
+    assert paths == 650 + 127
+
+
+def test_two_burst_verdicts_sort_their_family_only_for_the_full_walk(monkeypatch):
+    """A pass counts the family's union masks and sorts only its cover; a
+    failure on the first path sorts nothing; only a dependent cover support
+    sorts the family, for the full walk."""
+    sorted_masks = []
+
+    def spy(n, masks):
+        sorted_masks.append(set(masks))
+        return _supports(n, masks)
+
+    monkeypatch.setattr(channel, "_supports", spy)
+    h = [[1, 0, 1, 1, 1, 0], [0, 1, 1, 1, 0, 1]]  # columns 0 and 4 are equal
+    for verdict, cyclic in ((is_b1b2_code, False), (check_wraparound, True)):
+        family = _two_bursts(8, 2, 2, cyclic=cyclic)
+        cover = _two_bursts(8, 2, 2, cover=True, cyclic=cyclic)
+        assert len(cover) < len(family)
+        sorted_masks.clear()
+        report = verdict(mds_code(8, 4), 2, 2)
+        assert report.verdict and report.patterns_checked == len(family)
+        assert sorted_masks == [cover]
+        sorted_masks.clear()
+        assert not verdict(mds_code(8, 3), 2, 2).verdict  # (0, 1, 2, 3) has 3 rows
+        assert sorted_masks == []
+        sorted_masks.clear()
+        report = verdict(LinearCode(Matrix(field_make(2), h)), 1, 1)
+        assert report.witness.support == (0, 4)
+        cover, family = (_two_bursts(6, 1, 1, c, cyclic) for c in (True, False))
+        assert sorted_masks == [cover, family]
 
 
 def test_window_cover_passes_no_raw_pattern_cap():
     """Each of the 20 slots with the 18 extras outside it: 20 supports of 19,
     where the burst-random family's raw-pattern cap would count ~2^24."""
-    cover = _window_cover(ChannelParams(0, 1, 18, 20))
+    cover = _supports(20, _window_cover(ChannelParams(0, 1, 18, 20)))
     assert cover == sorted(tuple(j for j in range(20) if j != i) for i in range(20))
     with pytest.raises(TooLarge):  # the burst-random family keeps its cap, cover or not
         _burst_plus_random(20, 1, 18, cover=True)
@@ -370,7 +452,7 @@ def test_burst_extras_are_the_full_length_unions():
             if b + e > n and n > 9:  # as in the cover test above
                 continue
             cover = _burst_plus_random(n, b, e, cover=True)
-            assert {len(sup) for sup in cover} == {b + min(e, n - b)}, (n, b, e)
+            assert {m.bit_count() for m in cover} == {b + min(e, n - b)}, (n, b, e)
 
 
 def _systematic_code(rng, q, k, r):

@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from erasurelab.algebra import (
+    Matrix,
     Poly,
     field_make,
     poly_divmod,
@@ -23,6 +25,7 @@ from erasurelab.algebra import (
     x_pow_n_minus_1,
 )
 from erasurelab.analysis import (
+    rate_report,
     exhaustive_burst_random_search,
     exhaustive_code_search,
     mds_subblock_check,
@@ -758,6 +761,23 @@ def test_small_integer_flags_never_escape_main(capsys, tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("w", [21, 22])
+@pytest.mark.parametrize("r", [4, 5])
+def test_window_cap_comes_before_the_first_path(capsys, tmp_path, w, r):
+    """Past the cap, verify raises TooLarge before it pushes the first path,
+    (0), (0, 1), ... (0, ..., 4): dependent with 4 parity rows, not with 5."""
+    message = f"2^{w} window patterns exceed the enumeration cap"
+    params = StreamingParams(ChannelParams(2, 3, 2, w), w - 1)
+    with pytest.raises(TooLarge, match=rf"^{re.escape(message)}$"):
+        verify_streaming_code(mds_code(w, r), params)
+    path = str(tmp_path / "mds.json")
+    main(["construct", "--scheme", "mds", "--n", str(w), "--r", str(r), "--out", path])
+    capsys.readouterr()
+    flags = ["--a", "2", "--b", "3", "--e", "2", "--w", str(w), "--tau", str(w - 1)]
+    rc, doc = _run_json(capsys, ["verify", "--code", path] + flags)
+    assert rc == 2 and doc["error"] == {"type": "TooLarge", "message": message}
+
+
 def _edited_cyclic_file():
     """A cyclic code file whose stored H no longer matches its provenance."""
     doc = cyclic_from_h(7, 2, (1, 0, 1, 1, 1)).to_json()
@@ -819,6 +839,13 @@ def _edited_cyclic_file():
      "StreamingParams(ChannelParams(1, 3, 1, 8), 7))", BadParameters),
     ("simulate(None, StreamingParams(ChannelParams(1, 3, 1, 8), 7), PeriodicSource(2), 1)",
      BadParameters),
+    ("Matrix(field_make(2), 5)", BadParameters),
+    ("Matrix(field_make(2), [[1], 5])", BadParameters),
+    ("Matrix(None, [[1]])", BadParameters),
+    ("Poly(field_make(2), 5)", BadParameters),
+    ("cyclic_from_h(7, 2, None)", BadParameters),
+    ("LinearCode(None)", BadParameters),
+    ("rate_report(None)", BadParameters),
 ])
 def test_guards_raise_typed_errors(capsys, tmp_path, call, error):
     """Library calls raise the typed error; CLI runs (argv lists, with CODE a
