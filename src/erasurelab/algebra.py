@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     BadFieldOverride,
@@ -101,9 +102,9 @@ def _monic_irreducible(p: int, m: int) -> tuple[int, ...]:
     divisors = []
     for d in range(1, m // 2 + 1):
         for low in range(p**d):
-            divisors.append(Poly(fp, _digits(low, p, d) + (1,)))
+            divisors.append(_poly(fp, _digits(low, p, d) + (1,)))
     for low in range(p**m):
-        cand = Poly(fp, _digits(low, p, m) + (1,))
+        cand = _poly(fp, _digits(low, p, m) + (1,))
         if not any(poly_divides(g, cand) for g in divisors):
             return cand.coeffs
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -130,6 +131,14 @@ def _tuple(value, what: str) -> tuple:
         return tuple(value)
     except TypeError:
         raise BadParameters(f"{what}: {value!r}") from None
+
+
+def _built(cls, **values):
+    """An instance of the dataclass cls with the given field values, made
+    without its __post_init__ checks: for values the package built itself."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
 
 
 class Field:
@@ -350,6 +359,17 @@ class Field:
         return f"GF({self.q})"
 
 
+def _check_elements(field: Field, rows) -> None:
+    """Raise what field.check raises on the first bad entry of the sequences
+    in rows, read row by row. One pass over the entries' types and one min
+    and max, all at C speed, clear a batch whose entries are all ints in
+    [0, q); only a batch they do not clear is checked entry by entry."""
+    flat = list(chain.from_iterable(rows))
+    if flat and not (set(map(type, flat)) == {int} and 0 <= min(flat) and max(flat) < field.q):
+        for x in flat:
+            field.check(x)
+
+
 def _table_rows(f: Field):
     """The row primitives on the flat q x q tables."""
     mt, at = f._mt, f._at
@@ -440,10 +460,10 @@ class Poly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        c = tuple(map(self.field.check, _tuple(self.coeffs, "coefficients are not a list")))
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        _instance(self.field, Field, "field")
+        c = _tuple(self.coeffs, "coefficients are not a list")
+        _check_elements(self.field, (c,))
+        object.__setattr__(self, "coeffs", _stripped(c))
 
     @property
     def degree(self) -> int:
@@ -454,6 +474,20 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly(GF({self.field.q}), {list(self.coeffs)})"
+
+
+def _stripped(coeffs) -> tuple[int, ...]:
+    """coeffs as a tuple without its trailing zeros."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return tuple(coeffs[:end])
+
+
+def _poly(field: Field, coeffs) -> Poly:
+    """Poly(field, coeffs) for coefficients the package computed itself:
+    trailing zeros stripped, the entries not checked."""
+    return _built(Poly, field=field, coeffs=_stripped(coeffs))
 
 
 def _require_same_field(a: Field, b: Field) -> None:
@@ -469,7 +503,7 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     for i, ai in enumerate(a.coeffs):
         if ai:  # out += ai*b, shifted by i
             out[i : i + nb] = f.submul(out[i : i + nb], f.neg(ai), b.coeffs)
-    return Poly(f, tuple(out))
+    return _poly(f, out)
 
 
 def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -488,7 +522,7 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
             qc = f.mul(c, lead_inv)
             quo[i - dd] = qc
             rem[i - dd : i + 1] = f.submul(rem[i - dd : i + 1], qc, den.coeffs)
-    return Poly(f, tuple(quo)), Poly(f, tuple(rem[:dd]))
+    return _poly(f, quo), _poly(f, rem[:dd])
 
 
 def poly_divides(a: Poly, b: Poly) -> bool:
@@ -502,7 +536,7 @@ def poly_divides(a: Poly, b: Poly) -> bool:
 def x_pow_n_minus_1(field: Field, n: int) -> Poly:
     if _json_int(n, "n") < 1:
         raise BadParameters(f"need n >= 1, got {n}")
-    return Poly(field, (field.neg(1),) + (0,) * (n - 1) + (1,))
+    return _poly(field, (field.neg(1),) + (0,) * (n - 1) + (1,))
 
 
 def zrun(p: Poly) -> int:
@@ -540,16 +574,17 @@ class Matrix:
     __slots__ = ("field", "data")
 
     def __init__(self, field: Field, rows):
-        check = _instance(field, Field, "field").check
-        rows = _tuple(rows, "matrix rows are not a list")
-        data = tuple(tuple(map(check, _tuple(r, "matrix row is not a list"))) for r in rows)
-        if not data or not data[0]:
-            raise DimensionMismatch("matrix must have at least one row and column")
-        width = len(data[0])
-        if any(len(r) != width for r in data):
-            raise DimensionMismatch("ragged rows")
+        _instance(field, Field, "field")
+        data = []
+        for r in _tuple(rows, "matrix rows are not a list"):
+            try:
+                data.append(_tuple(r, "matrix row is not a list"))
+            except BadParameters:
+                _check_elements(field, data)  # a bad entry in an earlier row comes first
+                raise
+        _check_elements(field, data)
         self.field = field
-        self.data = data
+        self.data = _rectangle(data)
 
     @property
     def nrows(self) -> int:
@@ -568,7 +603,7 @@ class Matrix:
             raise DimensionMismatch(f"{self.ncols} cols vs {other.nrows} rows")
         f = self.field
         cols = list(zip(*other.data))
-        return Matrix(f, [[f.dot(r, c) for c in cols] for r in self.data])
+        return _matrix(f, [[f.dot(r, c) for c in cols] for r in self.data])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -601,6 +636,25 @@ class Matrix:
         if (m.nrows, m.ncols) != (rows, cols):
             raise DimensionMismatch("declared shape does not match data")
         return m
+
+
+def _rectangle(rows) -> tuple[tuple[int, ...], ...]:
+    """rows as a tuple of tuples, which must be a non-empty rectangle."""
+    data = tuple(map(tuple, rows))
+    if not data or not data[0]:
+        raise DimensionMismatch("matrix must have at least one row and column")
+    if len(set(map(len, data))) > 1:
+        raise DimensionMismatch("ragged rows")
+    return data
+
+
+def _matrix(field: Field, rows) -> Matrix:
+    """Matrix(field, rows) for rows of field elements the package computed
+    itself: the shape is checked, the entries are not."""
+    m = object.__new__(Matrix)
+    m.field = field
+    m.data = _rectangle(rows)
+    return m
 
 
 def _reduce(field: Field, basis, vec) -> list[int]:
@@ -744,7 +798,7 @@ def systematic_form(m: Matrix, side: str = "left") -> Matrix:
     if leads != list(range(nr)):
         pc = next(i for i in range(nr) if i not in leads)
         raise SingularBlock(f"designated block is singular at column {s + pc}")
-    return Matrix(f, [r[nc - s :] + r[: nc - s] for _, r in rref])
+    return _matrix(f, [r[nc - s :] + r[: nc - s] for _, r in rref])
 
 
 def solve_for_columns(h: Matrix, cols, syndrome) -> list[int]:
@@ -761,7 +815,8 @@ def solve_for_columns(h: Matrix, cols, syndrome) -> list[int]:
     if len(syndrome) != h.nrows:
         raise DimensionMismatch("syndrome length must equal the row count")
     f = h.field
-    aug = [[row[c] for c in cols] + [f.check(v)] for row, v in zip(h.data, syndrome)]
+    _check_elements(f, (syndrome,))
+    aug = [[row[c] for c in cols] + [v] for row, v in zip(h.data, syndrome)]
     # [H_E | s]·(x, -1) = 0: x = M's one column, and any row of C is [c != 0]
     m, c = _recovery(f, aug, range(len(cols)))
     if c:

@@ -36,11 +36,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    Matrix,
+    _built,
     _digits,
     _first_dependent,
     _instance,
     _json_int,
+    _matrix,
     _push,
     _reduce,
     columns_independent,
@@ -227,7 +228,7 @@ def sparsify_construction_one(code: LinearCode) -> SparsityReport:
     for i in range(b + 1):
         if any(rows[i][j] != (1 if j == i else 0) for j in range(b + 1)):
             raise StructureViolation("left block failed to reduce to the identity")
-    h = Matrix(f, rows)
+    h = _matrix(f, rows)
     new_code = LinearCode(
         h,
         {
@@ -292,7 +293,7 @@ def cyclic_report(code: CyclicCode) -> CyclicReport:
     # each (d-1)-burst with one index outside it; a bare one has d-1 columns, always independent
     family = _supports(n, _burst_extras(n, d - 1, 1))
     bad = _first_dependent(code.field, list(zip(*code.h.data)), family)[1]
-    witness = None if bad is None else ErasurePattern(n, bad)
+    witness = None if bad is None else _built(ErasurePattern, n=n, support=bad)
     meets = d == bound
     if meets != (witness is not None):
         raise RuntimeError("tightness witness disagrees with d; this is a bug")
@@ -437,7 +438,7 @@ def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
         for i in range(r)
     ]
     return LinearCode(
-        Matrix(field, rows), {"construction": "exhaustive_search", **fields, "q": q}
+        _matrix(field, rows), {"construction": "exhaustive_search", **fields, "q": q}
     )
 
 

@@ -14,7 +14,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .algebra import _first_dependent, _instance, _json_int, _recovery, _tuple, columns_independent
+from .algebra import (
+    _built,
+    _check_elements,
+    _first_dependent,
+    _instance,
+    _json_int,
+    _recovery,
+    _tuple,
+    columns_independent,
+)
 from .codes import LinearCode
 from .errors import (
     BadParameters,
@@ -55,7 +64,11 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class ErasurePattern:
-    """A set of erased coordinates inside a length-n block."""
+    """A set of erased coordinates inside a length-n block.
+
+    The constructor checks and sorts the support. The package's own walks
+    yield sorted, in-range supports, so their patterns and witnesses skip
+    that (see _patterns)."""
 
     n: int
     support: tuple[int, ...]
@@ -101,6 +114,12 @@ class VerificationReport:
             "witness": None if self.witness is None else self.witness.to_json(),
             "patterns_checked": self.patterns_checked,
         }
+
+
+def _patterns(n: int, supports) -> list[ErasurePattern]:
+    """ErasurePattern(n, s) for each sorted, in-range support s of a walk,
+    without the constructor's checks."""
+    return [_built(ErasurePattern, n=n, support=s) for s in supports]
 
 
 def _mask(indices) -> int:
@@ -187,7 +206,7 @@ def _window_cover(params: ChannelParams) -> set[int]:
 def enumerate_admissible_windows(params: ChannelParams) -> list[ErasurePattern]:
     """All admissible window patterns, lexicographic by support (empty first)."""
     _instance(params, ChannelParams, "params")
-    return [ErasurePattern(params.w, s) for s in _admissible_supports(params)]
+    return _patterns(params.w, _admissible_supports(params))
 
 
 def _bursts(n: int, lengths, cyclic: bool = False) -> list[int]:
@@ -244,7 +263,7 @@ def enumerate_b1b2_patterns(n: int, b1: int, b2: int) -> list[ErasurePattern]:
     Overlapping and abutting bursts are allowed, so every single burst of
     length <= max(b1, b2) appears too. Deduplicated, lexicographic order.
     """
-    return [ErasurePattern(n, s) for s in _supports(n, _two_bursts(n, b1, b2))]
+    return _patterns(n, _supports(n, _two_bursts(n, b1, b2)))
 
 
 def _burst_plus_random(n: int, b: int, e: int, cover: bool = False) -> set[int]:
@@ -269,7 +288,7 @@ def _burst_plus_random(n: int, b: int, e: int, cover: bool = False) -> set[int]:
 def enumerate_burst_plus_random(n: int, b: int, e: int) -> list[ErasurePattern]:
     """All unions of one burst of length in [1, b] with up to e arbitrary
     extra indices. Deduplicated, lexicographic order."""
-    return [ErasurePattern(n, s) for s in _supports(n, _burst_plus_random(n, b, e))]
+    return _patterns(n, _supports(n, _burst_plus_random(n, b, e)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +355,8 @@ def decode_erasures(code: LinearCode, received) -> list[int]:
         raise LengthMismatch(f"received word has length {len(received)}, n={code.n}")
     f = code.field
     erased = [i for i, v in enumerate(received) if v is None]
-    known = [(f.check(v),) for v in received if v is not None]
+    known = [(v,) for v in received if v is not None]
+    _check_elements(f, known)
     recovery = _erasure_map(code, erased)
     if recovery is None:
         raise Unrecoverable(f"erasures at {erased} are not recoverable")
@@ -363,7 +383,7 @@ def _verify_family(code: LinearCode, path, walk, cover, size) -> VerificationRep
         if _first_dependent(field, cols, _supports(code.n, cover()))[1] is None:
             return VerificationReport(True, None, size())
         checked, bad = _first_dependent(field, cols, walk())
-    return VerificationReport(False, ErasurePattern(code.n, bad), checked)
+    return VerificationReport(False, _built(ErasurePattern, n=code.n, support=bad), checked)
 
 
 def _verify_windows(code: LinearCode, params: ChannelParams) -> VerificationReport:

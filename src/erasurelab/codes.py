@@ -18,13 +18,14 @@ from .algebra import (
     _first_dependent,
     _instance,
     _json_int,
+    _matrix,
     _recovery,
     _rref,
-    columns_independent,
     field_make,
     mat_rank,
     poly_divides,
     smallest_prime_power_at_least,
+    vectors_independent,
     x_pow_n_minus_1,
 )
 from .errors import (
@@ -44,9 +45,11 @@ class LinearCode:
 
     provenance records how the code was built (construction name plus its
     parameters) as plain JSON-able values; a few analysis passes key off it.
+    systematic says whether the last n-k columns of H are independent, i.e.
+    whether the code has a generator [I_k | P]; it is decided once, here.
     """
 
-    __slots__ = ("field", "h", "n", "k", "provenance")
+    __slots__ = ("field", "h", "n", "k", "provenance", "systematic")
 
     def __init__(self, h: Matrix, provenance: dict | None = None):
         self.field = _instance(h, Matrix, "parity-check matrix").field
@@ -55,7 +58,9 @@ class LinearCode:
         self.k = h.ncols - h.nrows
         if self.k < 1:
             raise BadParameters(f"need k >= 1, got n={self.n}, {h.nrows} parity rows")
-        if mat_rank(h) != h.nrows:
+        self.systematic = vectors_independent(self.field, list(zip(*h.data))[self.k :])
+        # n-k independent columns of an (n-k)-row H already give it full rank
+        if not self.systematic and mat_rank(h) != h.nrows:
             raise StructureViolation("parity-check rows are linearly dependent")
         self.provenance = dict(provenance or {})
 
@@ -118,8 +123,9 @@ def generator_matrix(code: LinearCode) -> Matrix:
     the parity columns, M from _recovery.
     """
     f, n = code.field, code.n
-    parity = list(range(code.k, n))
-    if not columns_independent(code.h, parity):
+    if code.systematic:
+        parity = list(range(code.k, n))
+    else:
         parity = [lead for lead, _ in _rref(f, code.h.data)]
     m, _ = _recovery(f, code.h.data, parity)
     free = [j for j in range(n) if j not in parity]
@@ -130,7 +136,7 @@ def generator_matrix(code: LinearCode) -> Matrix:
         for p, row in zip(parity, m):
             vec[p] = f.neg(row[i])
         basis.append(vec)
-    return Matrix(f, basis)
+    return _matrix(f, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +153,7 @@ def mds_code(n: int, r: int, q: int | None = None) -> LinearCode:
     if not 1 <= _json_int(r, "r") < _json_int(n, "n"):
         raise BadParameters(f"need 1 <= r < n, got r={r}, n={n}")
     f = _field_of_size(n, q, f"q={q} < n={n}: evaluation points collide")
-    h = Matrix(f, [[f.pow(j, i) for j in range(n)] for i in range(r)])
+    h = _matrix(f, [[f.pow(j, i) for j in range(n)] for i in range(r)])
     return LinearCode(h, {"construction": "mds", "n": n, "r": r, "q": f.q})
 
 
@@ -194,7 +200,7 @@ def construction_one(n: int, b1: int, b2: int, q: int | None = None) -> LinearCo
         for i in range(b2):
             for t in range(b1 // b2):
                 rows[b1 + i][j * b1 + i + t * b2] = coef
-    h = Matrix(f, [r[:n] for r in rows])
+    h = _matrix(f, [r[:n] for r in rows])
     prov = {"construction": "construction_one", "n": n, "b1": b1, "b2": b2, "q": f.q}
     return LinearCode(h, prov)
 
@@ -228,7 +234,7 @@ def construction_one_binary(n: int, b1: int, b2: int) -> LinearCode:
         "expanded_from_q": base.provenance["q"],
         "tuple_bits": t,
     }
-    return LinearCode(Matrix(gf2, rows), prov)
+    return LinearCode(_matrix(gf2, rows), prov)
 
 
 def cyclic_from_h(n: int, q: int, h_coeffs) -> CyclicCode:
@@ -252,7 +258,7 @@ def cyclic_from_h(n: int, q: int, h_coeffs) -> CyclicCode:
     for i in range(n - k):
         rows.append((0,) * i + h.coeffs + (0,) * (n - k - 1 - i))
     prov = {"construction": "cyclic", "n": n, "q": q, "h": list(h.coeffs)}
-    return CyclicCode(Matrix(f, rows), h, prov)
+    return CyclicCode(_matrix(f, rows), h, prov)
 
 
 # ---------------------------------------------------------------------------

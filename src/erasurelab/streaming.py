@@ -24,9 +24,9 @@ import random
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .algebra import _instance, _json_int, _tuple, columns_independent, field_make
+from .algebra import _built, _check_elements, _instance, _json_int, _tuple, field_make
 from .channel import (
     ChannelParams,
     VerificationReport,
@@ -74,7 +74,7 @@ class PacketStream:
     lost; the decoder never reads those entries.
 
     The constructor checks every symbol once, so the decoder checks none.
-    Streams the package encodes itself skip that check (see _stream).
+    Streams the package encodes itself skip that check (see _encode).
     """
 
     q: int
@@ -103,21 +103,10 @@ class PacketStream:
             raise DimensionMismatch("packet count must be message_count + n - 1")
         if any(len(p) != self.n for p in packets):
             raise DimensionMismatch("every packet must carry n symbols")
-        check = field_make(self.q).check
-        for p in packets:
-            for x in p:
-                check(x)
+        _check_elements(field_make(self.q), packets)
         for t in erased:
             if not 0 <= _json_int(t, "erased slot index") < len(packets):
                 raise BadParameters("erased slot index out of range")
-
-
-def _stream(*values) -> PacketStream:
-    """A PacketStream of packets the package built itself, made from its
-    field values without the constructor's checks."""
-    stream = object.__new__(PacketStream)
-    stream.__dict__.update(zip((f.name for f in fields(PacketStream)), values))
-    return stream
 
 
 @dataclass(frozen=True)
@@ -169,11 +158,11 @@ def de_encode(code: LinearCode, messages) -> PacketStream:
         msgs = [tuple(vec) for vec in messages]
     except TypeError:
         raise BadParameters(f"messages must be a list of symbol lists, got {messages!r}") from None
-    for vec in msgs:
-        for x in vec:
-            f.check(x)
-        if len(vec) != k:
-            raise LengthMismatch(f"message must have k={k} symbols, got {len(vec)}")
+    # the first message of the wrong length; a bad symbol up to it comes first
+    short = next((t for t, vec in enumerate(msgs) if len(vec) != k), len(msgs))
+    _check_elements(f, msgs[: short + 1])
+    if short < len(msgs):
+        raise LengthMismatch(f"message must have k={k} symbols, got {len(msgs[short])}")
     if not msgs:
         raise BadParameters("need at least one message packet")
     return _encode(code, recovery, list(zip(*msgs)), ())
@@ -195,7 +184,9 @@ def _encode(code: LinearCode, recovery, columns, erased) -> PacketStream:
     words += _erased_values(code.field, recovery, words, range(n - k))
     # and position j shifted back by j holds slot s at index s
     packets = tuple(zip(*(col[n - 1 - j : n - 1 - j + slots] for j, col in enumerate(words))))
-    return _stream(code.field.q, n, k, t_count, packets, frozenset(erased))
+    # built from the package's own field values, so the symbols are not checked again
+    return _built(PacketStream, q=code.field.q, n=n, k=k, message_count=t_count,
+                  packets=packets, erased=frozenset(erased))
 
 
 def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -> DecodeTrace:
@@ -375,8 +366,7 @@ def verify_streaming_code(code: LinearCode, params: StreamingParams) -> Verifica
         raise UnsupportedDelay(f"verifier requires tau = w-1 = {w - 1}, got {params.tau}")
     if code.n != w:
         raise DimensionMismatch(f"diagonal embedding needs n = w, got n={code.n}, w={w}")
-    # the one systematic test that builds no parity map, since nothing is encoded here
-    if not columns_independent(code.h, range(code.k, code.n)):
+    if not code.systematic:
         raise NotSystematic("last n-k columns of H are singular")
     return _verify_windows(code, params.channel)
 

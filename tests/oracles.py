@@ -11,7 +11,9 @@ prefix-sharing walk replaced, and the syndrome-then-solve erasure decoder
 and right-systematic-form generator that one erased-coordinate map
 replaced, and the stream encoder and decoder that worked one diagonal at a
 time before both moved to whole-stream row operations, and the simulator as
-it was when every payload symbol was its own randrange(q) call.
+it was when every payload symbol was its own randrange(q) call, and the
+per-entry element checks of the Matrix and Poly constructors from before
+one batch check cleared the common case.
 They are deliberately left as they were: tests run both sides
 on the same inputs and require identical matrices, solutions, verdicts,
 pattern orders, exception types and messages.
@@ -26,10 +28,12 @@ import math
 import random
 
 from erasurelab.algebra import (
+    Field,
     Matrix,
     _digits,
     _instance,
     _json_int,
+    _tuple,
     field_make,
     vectors_independent,
 )
@@ -127,6 +131,37 @@ class DigitField:
 def digit_field(field) -> DigitField:
     """The DigitField of a field, built once per field."""
     return DigitField(field)
+
+
+def check_elements(field, rows) -> None:
+    """Every entry of every row through Field.check, in order."""
+    for row in rows:
+        for x in row:
+            field.check(x)
+
+
+def matrix_data(field, rows) -> tuple:
+    """The entries Matrix(field, rows) stores, checked as its constructor
+    did: each row made a tuple and its entries checked before the next row,
+    then the shape."""
+    check = _instance(field, Field, "field").check
+    rows = _tuple(rows, "matrix rows are not a list")
+    data = tuple(tuple(map(check, _tuple(r, "matrix row is not a list"))) for r in rows)
+    if not data or not data[0]:
+        raise DimensionMismatch("matrix must have at least one row and column")
+    width = len(data[0])
+    if any(len(r) != width for r in data):
+        raise DimensionMismatch("ragged rows")
+    return data
+
+
+def poly_coeffs(field, coeffs) -> tuple:
+    """The coefficients Poly(field, coeffs) stores, checked one by one and
+    stripped of trailing zeros one at a time, as its constructor did."""
+    c = tuple(map(field.check, _tuple(coeffs, "coefficients are not a list")))
+    while c and c[-1] == 0:
+        c = c[:-1]
+    return c
 
 
 def mat_rank(m: Matrix) -> int:
@@ -499,7 +534,10 @@ def first_dependent(field, cols, supports):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_admissible_windows(params: ChannelParams) -> list[ErasurePattern]:
+# cached per channel, sized for the 990 channels with w <= 11: several tests
+# repeat the full scan of the same channels
+@functools.lru_cache(maxsize=1024)
+def enumerate_admissible_windows(params: ChannelParams) -> tuple[ErasurePattern, ...]:
     """All admissible window patterns, lexicographic by support (empty first)."""
     w = params.w
     if w > _ENUM_N_CAP:
@@ -509,7 +547,7 @@ def enumerate_admissible_windows(params: ChannelParams) -> list[ErasurePattern]:
         if _mask_admissible(mask, params):
             out.append(_pattern_from_mask(w, mask))
     out.sort(key=lambda p: p.support)
-    return out
+    return tuple(out)
 
 
 def _pattern_from_mask(n: int, mask: int) -> ErasurePattern:

@@ -843,6 +843,7 @@ def _edited_cyclic_file():
     ("Matrix(field_make(2), [[1], 5])", BadParameters),
     ("Matrix(None, [[1]])", BadParameters),
     ("Poly(field_make(2), 5)", BadParameters),
+    ("Poly('x', [1])", BadParameters),
     ("cyclic_from_h(7, 2, None)", BadParameters),
     ("LinearCode(None)", BadParameters),
     ("rate_report(None)", BadParameters),

@@ -1,16 +1,16 @@
 """The shared elimination routine, Zech-logarithm addition, the pattern
 families, the prefix-sharing independence walk, the minimum-distance subset
 search, the exhaustive searches, erasure decoding, the generator, the
-stream encoder and the simulator against the reference code in
-``oracles``: same ranks, matrices, solutions, decoded words, encoded
-codewords, verdicts, witnesses, ``patterns_checked`` counts, pattern orders,
-first-found parity checks, simulate summaries, exception types and messages
-on seeded random inputs."""
+stream encoder, the simulator and the batch element check against the
+reference code in ``oracles``: same ranks, matrices, solutions, decoded
+words, encoded codewords, verdicts, witnesses, ``patterns_checked`` counts,
+pattern orders, first-found parity checks, simulate summaries, exception
+types and messages on seeded random inputs. Values the package builds
+without its constructors' checks equal the checked ones."""
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import random
 from types import SimpleNamespace
@@ -22,11 +22,15 @@ from erasurelab import channel
 from erasurelab.algebra import (
     Matrix,
     Poly,
+    _check_elements,
     _digits,
     _first_dependent,
+    columns_independent,
     field_make,
     mat_rank,
     poly_divides,
+    poly_divmod,
+    poly_mul,
     solve_for_columns,
     systematic_form,
     x_pow_n_minus_1,
@@ -43,6 +47,7 @@ from erasurelab.analysis import (
 )
 from erasurelab.channel import (
     ChannelParams,
+    ErasurePattern,
     _bursts,
     _unions,
     check_wraparound,
@@ -54,11 +59,13 @@ from erasurelab.channel import (
 from erasurelab.codes import (
     LinearCode,
     _min_dist_subsets,
+    construction_one,
+    construction_one_binary,
     cyclic_from_h,
     generator_matrix,
     mds_code,
 )
-from erasurelab.errors import ErasureLabError, InconsistentSyndrome
+from erasurelab.errors import ErasureLabError, InconsistentSyndrome, StructureViolation
 from erasurelab.streaming import (
     GilbertElliottSource,
     PacketStream,
@@ -121,6 +128,15 @@ def _elimination_inputs(rng, q):
         yield rows
 
 
+def _stand_in(h, k):
+    """A code over H with dimension k for an H that LinearCode refuses (its
+    rows dependent, or more rows than columns); systematic is the last
+    n - k columns' independence, as LinearCode stores it."""
+    n = h.ncols
+    return SimpleNamespace(field=h.field, h=h, n=n, k=k,
+                           systematic=columns_independent(h, range(k, n)))
+
+
 def _reference_generator(code):
     """The [I_k | P] generator when the last n - k columns of H allow it, the
     reduced null-space basis otherwise."""
@@ -158,7 +174,7 @@ def test_elimination_matches_reference_loops(q):
         )
 
         # k floored at 0 where H has more rows than columns
-        code = SimpleNamespace(field=f, h=h, n=nc, k=max(nc - nr, 0))
+        code = _stand_in(h, max(nc - nr, 0))
         assert _outcome(generator_matrix, code) == _reference_generator(code)
         if 2 <= nr <= nc:
             b = rng.randint(1, nr - 1)
@@ -185,7 +201,7 @@ def _erasure_codes(rng, q):
         if nr >= 2 and rng.random() < 0.3:
             i, j = rng.sample(range(nr), 2)
             rows[i] = [0] * nc if rng.random() < 0.5 else list(rows[j])
-        yield SimpleNamespace(field=f, h=Matrix(f, rows), n=nc, k=nc - nr)
+        yield _stand_in(Matrix(f, rows), nc - nr)
     for n in range(3, min(q, 8) + 1):
         yield mds_code(n, rng.randint(1, n - 1), q)
 
@@ -466,9 +482,6 @@ def test_burst_plus_one_family_adds_only_bare_bursts():
             assert all(s == tuple(range(s[0], s[0] + length)) for s in bare)
 
 
-_reference_windows = functools.lru_cache(oracles.enumerate_admissible_windows)
-
-
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
 def test_streaming_verdicts_match_reference(q):
     rng = random.Random(2000 + q)
@@ -478,7 +491,7 @@ def test_streaming_verdicts_match_reference(q):
         for k in (params.w - span, params.w - span + 1):
             code = LinearCode(Matrix(f, _systematic_rows(rng, q, k, params.w - k)))
             report = verify_streaming_code(code, StreamingParams(params, params.w - 1))
-            ref = oracles.verify_family(code, _reference_windows(params))
+            ref = oracles.verify_family(code, oracles.enumerate_admissible_windows(params))
             assert report == ref
 
 
@@ -686,3 +699,217 @@ def test_min_distance_subsets_match_reference(q):
         assert d == oracles.min_dist_subsets(code)
         seen.add(d)
     assert {1, 2} <= seen
+
+
+# ---------------------------------------------------------------------------
+# boundary checks: one batch element check, and values the package built
+# itself made without it
+# ---------------------------------------------------------------------------
+
+
+class _Int(int):
+    """An int subclass, which Field.check takes as an element when in range."""
+
+
+def _odd_entries(q):
+    """Entries at and past the ends of [0, q), and of other types."""
+    return [0, q - 1, True, False, 1.0, float(q - 1), -1, q, 2**80, -(2**80),
+            _Int(q - 1), _Int(q), "1", None]
+
+
+def _planted_rows(rng, q):
+    """Rows of elements, some ragged, some empty, with odd entries planted and
+    sometimes a row that is no list, before or after them."""
+    odd = _odd_entries(q)
+    for _ in range(400):
+        width = rng.randint(0, 5)
+        widths = [width if rng.random() < 0.8 else rng.randint(0, 5) for _ in range(rng.randint(0, 4))]
+        rows = [[rng.randrange(q) for _ in range(w)] for w in widths]
+        cells = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
+        for i, j in rng.sample(cells, min(len(cells), rng.randint(0, 2))):
+            rows[i][j] = rng.choice(odd)
+        yield rows
+        if rows:
+            rows = list(rows)
+            rows.insert(rng.randint(0, len(rows)), rng.choice((5, None, 2.5)))
+            yield rows
+
+
+def _typed(data):
+    """data with the type of each entry, which == alone does not tell apart."""
+    return [[(type(x), x) for x in row] for row in data]
+
+
+def _typed_outcome(fn, f, rows):
+    out = _outcome(fn, f, rows)
+    return out if out[0] == "raise" else ("ok", _typed(out[1]))
+
+
+def _precedence_rows(q):
+    """A bad entry before and after a row that is no list, and before a
+    short row."""
+    return [[[0, q], 5], [5, [0, q]], [[0, 1.0], [0]], [[0], [0, None]], [[0, 1], [0]]]
+
+
+@pytest.mark.parametrize("q", (2, 4, 9, 257, 65536))
+def test_element_checks_match_the_per_entry_loop(q):
+    """The batch check raises what the per-entry loop raised, on the same
+    entry; Matrix and Poly keep each error and its precedence: a bad entry
+    before a row that is no list is reported, one after it is not, and
+    every entry is checked before the shape."""
+    rng = random.Random(4000 + q)
+    f = field_make(q)
+    seen = set()
+    for rows in itertools.chain(_precedence_rows(q), _planted_rows(rng, q)):
+        ref = _typed_outcome(oracles.matrix_data, f, rows)
+        assert _typed_outcome(lambda f, rows: Matrix(f, rows).data, f, rows) == ref
+        seen.add(ref[0] if ref[0] == "ok" else ref[2].split(" ")[-1])
+        if all(isinstance(row, list) for row in rows):
+            assert _outcome(_check_elements, f, rows) == _outcome(oracles.check_elements, f, rows)
+            for row in rows:
+                assert _typed_outcome(lambda f, c: [Poly(f, c).coeffs], f, row) == _typed_outcome(
+                    lambda f, c: [oracles.poly_coeffs(f, c)], f, row
+                )
+    # element errors, rows that are no list, empty and ragged shapes, and passes
+    assert {f"GF({q})", "5", "None", "2.5", "column", "rows", "ok"} <= seen
+
+
+def _boundary_codes(q):
+    n = min(q, 6)
+    yield mds_code(n, n // 2, q)
+    if q >= 3:
+        yield mds_code(3, 1, q)
+
+
+def _stream_checks(*args):
+    PacketStream(*args)
+
+
+@pytest.mark.parametrize("q", (2, 4, 9, 257, 65536))
+def test_stream_and_word_checks_match_the_per_entry_loop(q):
+    """de_encode, decode_erasures and PacketStream raise what the per-entry
+    loops raised; de_encode still reports a message of the wrong length
+    before a bad symbol in a later message, and a bad symbol before a later
+    message of the wrong length."""
+    rng = random.Random(5000 + q)
+    f = field_make(q)
+    odd = _odd_entries(q)
+    kinds = set()
+    for code in _boundary_codes(q):
+        n, k = code.n, code.k
+        for _ in range(60):
+            msgs = [[rng.randrange(q) for _ in range(k)] for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(0, 3)):
+                t = rng.randrange(len(msgs))
+                if msgs[t] and rng.random() < 0.5:
+                    msgs[t][rng.randrange(len(msgs[t]))] = rng.choice(odd)
+                else:
+                    msgs[t] = msgs[t] + [0] if rng.random() < 0.5 else msgs[t][1:]
+            ref = _outcome(oracles.de_encode, code, msgs)
+            assert _outcome(de_encode, code, msgs) == ref
+            kinds.add(_kind(ref))
+
+            word = [rng.choice((None, rng.randrange(q))) for _ in range(n)]
+            for i in rng.sample(range(n), rng.randint(0, 2)):
+                word[i] = rng.choice(odd)
+            ref = _outcome(oracles.decode_erasures, code, word)
+            assert _outcome(decode_erasures, code, word) == ref
+
+            stream = de_encode(code, [[rng.randrange(q) for _ in range(k)] for _ in range(3)])
+            packets = [list(p) for p in stream.packets]
+            for _ in range(rng.randint(0, 2)):
+                packets[rng.randrange(len(packets))][rng.randrange(n)] = rng.choice(odd)
+            args = (q, n, k, stream.message_count, packets, frozenset())
+            assert _outcome(_stream_checks, *args) == _outcome(oracles.check_elements, f, packets)
+    assert {"ok", "LengthMismatch", "BadParameters"} <= kinds
+
+
+@pytest.mark.parametrize("q", FIELDS + BIG_FIELDS)
+def test_systematic_is_decided_as_the_parity_columns_independence(q):
+    """LinearCode stores whether the last n - k columns of H are independent,
+    and refuses H exactly when its rows are dependent: systematic codes,
+    codes of full row rank whose parity columns are dependent, and H with a
+    zero or repeated row all turn up."""
+    rng = random.Random(6000 + q)
+    f = field_make(q)
+    kinds = set()
+    hs = [Matrix(f, rows) for rows in _elimination_inputs(rng, q)]
+    hs += [code.h for code in _stream_codes(rng, q)]
+    for h in hs:
+        nr, nc = h.nrows, h.ncols
+        if nc <= nr:
+            continue
+        got = _outcome(LinearCode, h)
+        if oracles.mat_rank(h) < nr:
+            assert got == ("raise", StructureViolation, "parity-check rows are linearly dependent")
+            kinds.add("dependent rows")
+        else:
+            systematic = columns_independent(h, range(nc - nr, nc))
+            assert got[1].systematic is systematic
+            kinds.add(systematic)
+    assert kinds == {"dependent rows", True, False}
+
+
+def _assert_as_checked(value):
+    """value, built without its constructor's checks, equals the value that
+    constructor builds from the same data, with the same hash and repr."""
+    if isinstance(value, Matrix):
+        checked = Matrix(value.field, value.data)
+        assert type(value.data) is tuple and all(type(row) is tuple for row in value.data)
+    elif isinstance(value, Poly):
+        checked = Poly(value.field, value.coeffs)
+        assert type(value.coeffs) is tuple
+    else:
+        checked = ErasurePattern(value.n, value.support)
+        assert type(value.support) is tuple
+    assert value == checked and hash(value) == hash(checked) and repr(value) == repr(checked)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9) + BIG_FIELDS)
+def test_package_built_values_equal_checked_ones(q):
+    """Products, systematic forms, generators, constructions, search results,
+    polynomial products, quotients and remainders, x^n - 1, enumerated
+    patterns and verdict witnesses equal what the checking constructors
+    build from them."""
+    rng = random.Random(7000 + q)
+    f = field_make(q)
+    for rows in itertools.islice(_elimination_inputs(rng, q), 60):
+        h = Matrix(f, rows)
+        _assert_as_checked(h @ Matrix(f, _random_rows(rng, q, h.ncols, rng.randint(1, 4))))
+        for side in ("left", "right"):
+            out = _outcome(systematic_form, h, side)
+            if out[0] == "ok":
+                _assert_as_checked(out[1])
+        if h.ncols > h.nrows and mat_rank(h) == h.nrows:
+            _assert_as_checked(generator_matrix(LinearCode(h)))
+    for code in _stream_codes(rng, q):
+        _assert_as_checked(code.h)
+        _assert_as_checked(generator_matrix(code))
+    if q <= 9:
+        _assert_as_checked(construction_one(8, 2, 1, q if q >= 4 else None).h)
+        _assert_as_checked(construction_one_binary(9, 3, 1).h)
+        found = exhaustive_code_search(5, 2, 1, q)
+        assert (found is None) == (q == 2)
+        if found is not None:
+            _assert_as_checked(found.h)
+    for _ in range(40):
+        a = Poly(f, [rng.randrange(q) for _ in range(rng.randint(0, 5))])
+        b = Poly(f, [rng.randrange(q) for _ in range(rng.randint(0, 3))] + [rng.randrange(1, q)])
+        _assert_as_checked(poly_mul(a, b))
+        for part in poly_divmod(a, b):
+            _assert_as_checked(part)
+    for n in range(1, 8):
+        _assert_as_checked(x_pow_n_minus_1(f, n))
+    for params in _channels(7):
+        for pattern in enumerate_admissible_windows(params):
+            _assert_as_checked(pattern)
+        span = params.b + params.e
+        code = LinearCode(Matrix(f, _systematic_rows(rng, q, params.w - span + 1, span - 1)))
+        witness = verify_streaming_code(code, StreamingParams(params, params.w - 1)).witness
+        _assert_as_checked(witness)
+    for pattern in enumerate_b1b2_patterns(7, 2, 2) + enumerate_burst_plus_random(7, 2, 2):
+        _assert_as_checked(pattern)
+    if q == 2:
+        witness = cyclic_report(cyclic_from_h(7, 2, (1, 0, 1, 1, 1))).witness
+        _assert_as_checked(witness)
+        _assert_as_checked(cyclic_from_h(7, 2, (1, 0, 1, 1, 1)).h)

@@ -9,9 +9,10 @@ and neither importing the package and its CLI nor running a search with
 several workers loads process-pool machinery. No cached function is
 annotated to return a list, dict or set, and the cached functions are a
 fixed few, each under a comment that names the repeats it serves. Only a
-fixed few kernels read the ``submul`` row primitive. Every
-function the benchmark tracer wraps by name exists in the package, and so
-does every ``Field`` method it wraps through ``vars(Field)``."""
+fixed few kernels read the ``submul`` row primitive, and only the batch
+element check reads ``Field.check``. Every function the benchmark tracer
+wraps by name exists in the package, and so does every ``Field`` method it
+wraps through ``vars(Field)``."""
 
 import ast
 import inspect
@@ -249,23 +250,29 @@ def test_each_cache_names_the_repeats_it_serves():
     assert unexplained == []
 
 
-def test_only_the_kernels_read_submul():
-    """Row operations go through a few kernels, so no hand-copied
-    elimination loop creeps in beside them: these module-level functions
-    and methods (with whatever they nest) are the only readers of
-    ``<field>.submul``."""
+def _readers(attr: str) -> set[str]:
+    """The module-level functions and methods (with whatever they nest) that
+    read ``<something>.<attr>``."""
     readers = set()
     for tree in _modules().values():
         for node in tree.body:
             owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
             for fn in node.body if owner else [node]:
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                    isinstance(n, ast.Attribute) and n.attr == "submul"
+                    isinstance(n, ast.Attribute) and n.attr == attr
                     and isinstance(n.ctx, ast.Load)
                     for n in ast.walk(fn)
                 ):
                     readers.add(owner + fn.name)
-    assert readers == {
+    return readers
+
+
+def test_only_the_kernels_read_submul():
+    """Row operations go through a few kernels, so no hand-copied
+    elimination loop creeps in beside them: these module-level functions
+    and methods (with whatever they nest) are the only readers of
+    ``<field>.submul``."""
+    assert _readers("submul") == {
         "_reduce",
         "_first_dependent",
         "poly_mul",
@@ -274,6 +281,13 @@ def test_only_the_kernels_read_submul():
         "_min_weight_enum",
         "sparsify_construction_one",
     }
+
+
+def test_only_the_batch_check_reads_field_check():
+    """Field elements are checked once, where a value enters the package,
+    and in one batch: the batch check is the only reader of
+    ``<field>.check``, so no per-entry loop creeps back in."""
+    assert _readers("check") == {"_check_elements"}
 
 
 def _traced_field_methods():

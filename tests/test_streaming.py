@@ -342,6 +342,15 @@ def test_verifier_builds_a_pattern_only_for_its_witness(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(ErasurePattern, "__post_init__", counting)
+    # the witness skips the constructor's checks: count those builds too
+    unchecked = channel._built
+
+    def counting_unchecked(cls, **values):
+        if cls is ErasurePattern:
+            built.append(values["support"])
+        return unchecked(cls, **values)
+
+    monkeypatch.setattr(channel, "_built", counting_unchecked)
     params = StreamingParams(ChannelParams(2, 3, 1, 6), 5)
     assert verify_streaming_code(mds_code(6, 4), params).verdict is True
     assert built == []
