@@ -7,8 +7,9 @@ For prime fields this is plain arithmetic mod p. The extension-field modulus
 is chosen deterministically (see :func:`field_make`), so matrices serialized
 by one run are bit-identical when reloaded by another.
 
-Everything here is pure Python on ints; fields are capped at q <= 2**16,
-which is far beyond what any construction in this package needs.
+Everything here is pure Python: elements are ints, and the rows of fields
+up to q = 16 are bytes (see :func:`_nibble_rows`). Fields are capped at
+q <= 2**16, which is far beyond what any construction in this package needs.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .errors import (
 _Q_CAP = 1 << 16
 # fields up to this size keep flat q x q arithmetic tables
 _TABLE_CAP = 256
+# fields up to this size keep their rows as bytes, one element per 4-bit lane
+_NIBBLE_CAP = 16
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -149,13 +152,18 @@ class Field:
 
     Besides the element methods, a field carries three row primitives, the
     only vector arithmetic the kernels use: ``submul(v, c, u)`` is v - c*u,
-    ``scale(c, u)`` is c*u and ``dot(u, v)`` the dot product. Which tables
-    they run on is decided once, when the field is built.
+    ``scale(c, u)`` is c*u and ``dot(u, v)`` the dot product. They take any
+    sequences of elements and return rows of the type ``row``, which also
+    makes a row from a sequence. Which family serves them is decided once,
+    when the field is built: up to q = 16 rows are ``bytes`` and each
+    operation is one shift-or and one ``bytes.translate`` (_nibble_rows), up
+    to q = 256 rows are lists indexed through flat q x q tables
+    (_table_rows), and above that lists built through exp/log (_log_rows).
     """
 
     __slots__ = (
         "q", "p", "m", "modulus", "_exp", "_log", "_gen", "_zech", "_mt", "_at",
-        "submul", "scale", "dot",
+        "row", "submul", "scale", "dot",
     )
 
     def __init__(self, q: int):
@@ -259,7 +267,10 @@ class Field:
             spread = [_spread(x, p, m) for x in range(q)]
             back = _lanes_mod_p(p, m)
             self._at = [[back[a + b] for b in spread] for a in spread]
-        rows = _table_rows if q <= _TABLE_CAP else _log_rows
+        if q <= _NIBBLE_CAP:
+            self.row, rows = bytes, _nibble_rows
+        else:
+            self.row, rows = list, _table_rows if q <= _TABLE_CAP else _log_rows
         self.submul, self.scale, self.dot = rows(self)
 
     # -- element arithmetic ----------------------------------------------
@@ -368,6 +379,47 @@ def _check_elements(field: Field, rows) -> None:
     if flat and not (set(map(type, flat)) == {int} and 0 <= min(flat) and max(flat) < field.q):
         for x in flat:
             field.check(x)
+
+
+def _nibble_rows(f: Field):
+    """The row primitives for q <= 16, on rows of bytes. No element reaches
+    16, so (int(v) << 4) | int(u), where int(x) = int.from_bytes(x,
+    "little"), holds the pair (v[i], u[i]) in byte i with no carry between
+    bytes. One translate through a 256-byte table per c then maps every pair
+    to v[i] - c*u[i]; scale is one translate and dot one more, all at C
+    speed."""
+    q, from_bytes = f.q, int.from_bytes
+
+    def pairs(v, u) -> bytes:
+        return ((from_bytes(v, "little") << 4) | from_bytes(u, "little")).to_bytes(
+            len(v), "little")
+
+    def table(rows) -> bytes:
+        # t[a << 4 | b] = rows[a][b] for a, b < q
+        return b"".join(bytes(r).ljust(16, b"\0") for r in rows).ljust(256, b"\0")
+
+    sums, products = table(f._at), table(f._mt)
+    times = [products[16 * c : 16 * c + 16] for c in range(q)]  # c*u at u
+    highs = b"".join(bytes([v]) * 16 for v in range(16))  # v at v << 4 | u
+    # v - c*u = v + (-c)*u: the pair (v, (-c)*u) at v << 4 | u, then its sum
+    subs = [pairs(highs, times[f.neg(c)] * 16).translate(sums) for c in range(q)]
+    scales = [t.ljust(256, b"\0") for t in times]
+
+    def submul(v, c: int, u) -> bytes:
+        # pairs(v, u) written out, one call less on the kernels' hot path
+        return ((from_bytes(v, "little") << 4) | from_bytes(u, "little")).to_bytes(
+            len(v), "little").translate(subs[c])
+
+    def scale(c: int, u) -> bytes:
+        return bytes(u).translate(scales[c])
+
+    def dot(u, v) -> int:
+        acc = 0
+        for x in pairs(u, v).translate(products):
+            acc = sums[acc << 4 | x]
+        return acc
+
+    return submul, scale, dot
 
 
 def _table_rows(f: Field):
@@ -496,8 +548,8 @@ def _require_same_field(a: Field, b: Field) -> None:
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
-    _require_same_field(a.field, b.field)
-    f = a.field
+    f = _instance(a, Poly, "a").field
+    _require_same_field(f, _instance(b, Poly, "b").field)
     nb = len(b.coeffs)
     out = [0] * (len(a.coeffs) + nb - 1)
     for i, ai in enumerate(a.coeffs):
@@ -508,10 +560,10 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
 
 def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Long division: num = q*den + r with deg r < deg den."""
-    _require_same_field(num.field, den.field)
+    f = _instance(num, Poly, "num").field
+    _require_same_field(f, _instance(den, Poly, "den").field)
     if den.is_zero():
         raise DivisionByZero("polynomial division by zero")
-    f = num.field
     rem = list(num.coeffs)
     dd = den.degree
     lead_inv = f.inv(den.coeffs[-1])
@@ -527,13 +579,14 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 def poly_divides(a: Poly, b: Poly) -> bool:
     """True iff a divides b (a must be nonzero)."""
-    if a.is_zero():
+    if _instance(a, Poly, "a").is_zero():
         raise DivisionByZero("zero polynomial divides nothing")
-    _require_same_field(a.field, b.field)
+    _require_same_field(a.field, _instance(b, Poly, "b").field)
     return poly_divmod(b, a)[1].is_zero()
 
 
 def x_pow_n_minus_1(field: Field, n: int) -> Poly:
+    _instance(field, Field, "field")
     if _json_int(n, "n") < 1:
         raise BadParameters(f"need n >= 1, got {n}")
     return _poly(field, (field.neg(1),) + (0,) * (n - 1) + (1,))
@@ -657,18 +710,18 @@ def _matrix(field: Field, rows) -> Matrix:
     return m
 
 
-def _reduce(field: Field, basis, vec) -> list[int]:
+def _reduce(field: Field, basis, vec):
     """vec reduced against a pivot basis of (lead, row) pairs, each row 1 at
     its own lead and 0 at the leads before it. The result is 0 at every lead,
-    and all zero iff vec lies in the span of the basis.
+    and all zero iff vec lies in the span of the basis: a field row, or vec
+    itself when no row operation applied.
     """
     submul = field.submul
-    v = list(vec)
     for lead, row in basis:
-        c = v[lead]
+        c = vec[lead]
         if c:
-            v = submul(v, c, row)
-    return v
+            vec = submul(vec, c, row)
+    return vec
 
 
 def _push(field: Field, basis: list, vec) -> bool:
@@ -682,7 +735,7 @@ def _push(field: Field, basis: list, vec) -> bool:
     return False
 
 
-def _rref(field: Field, rows) -> list[tuple[int, list[int]]]:
+def _rref(field: Field, rows) -> list[tuple[int, list[int] | bytes]]:
     """The reduced row echelon form of rows as (lead, row) pairs sorted by
     lead; zero rows drop out. Each basis row is reduced against the rows
     pushed after it, which are already 0 at its lead."""
@@ -736,7 +789,7 @@ def _first_dependent(field: Field, cols, supports):
     """
     submul, scale, inv, n = field.submul, field.scale, field.inv, len(cols)
     basis: list = []
-    levels: list = [cols]
+    levels: list = [list(map(field.row, cols))]
     prev: tuple = ()
     checked = 0
     for sup in supports:

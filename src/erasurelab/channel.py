@@ -314,23 +314,25 @@ def _erasure_map(code: LinearCode, erased):
         return None
 
 
-def _erased_values(field, recovery, known, wanted) -> list[list[int]]:
+def _erased_values(field, recovery, known, wanted) -> list:
     """The erased symbols of a batch of received words that share one erased
     set, from its (M, C) map recovery and the words' known symbols, one
     column per known position in order: for each index i in wanted, erased
-    symbol i of every word, -M[i]·y for the known symbols y of the word.
+    symbol i of every word, -M[i]·y for the known symbols y of the word, as
+    a field row.
 
     This is the one solver for block decoding, stream decoding and stream
     encoding, whose parity symbols are the erased last n-k of each diagonal.
     Raises InconsistentSyndrome when C·y is nonzero for any word.
     """
-    submul, size = field.submul, len(known[0])
+    submul, known = field.submul, list(map(field.row, known))
+    zero = field.row((0,) * len(known[0]))
 
     def times(rows):
         # -row·y for every word, one submul per nonzero coefficient
         out = []
         for row in rows:
-            acc = [0] * size
+            acc = zero
             for coef, col in zip(row, known):
                 if coef:
                     acc = submul(acc, coef, col)

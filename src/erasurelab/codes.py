@@ -294,7 +294,7 @@ def _min_weight_enum(code: LinearCode) -> int:
     g = generator_matrix(code)
     n, k, q = code.n, code.k, code.field.q
     best = n + 1
-    rows = list(g.data)
+    rows = list(map(f.row, g.data))
 
     # Scalar multiples share a weight, so the leading nonzero message digit
     # can be pinned to 1.
@@ -302,7 +302,7 @@ def _min_weight_enum(code: LinearCode) -> int:
         nonlocal best
         if i == k:
             if started:
-                w = sum(1 for x in cur if x)
+                w = n - cur.count(0)
                 if w < best:
                     best = w
             return

@@ -177,7 +177,7 @@ def _encode(code: LinearCode, recovery, columns, erased) -> PacketStream:
     slots = t_count + n - 1
     # message column i with zero messages before time 0 and after the last,
     # enough of them for every shift below
-    cols = [(0,) * (n - 1) + tuple(col) + (0,) * (n + k) for col in columns]
+    cols = [code.field.row((0,) * (n - 1) + tuple(col) + (0,) * (n + k)) for col in columns]
     # position j of diagonal d sits in slot d + j, so message column i shifted
     # by i holds position i of every diagonal, diagonal d at index d + n - 1
     words = [col[i : i + slots + n - 1] for i, col in enumerate(cols)]
@@ -212,28 +212,30 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
     t_count = stream.message_count
     lost, full = _mask(stream.erased), (1 << n) - 1
     # plan: the diagonals through each lost message, up to the first that is
-    # not recoverable, grouped by the mask of their erased positions
+    # not recoverable, grouped by the mask of their erased positions; each
+    # diagonal's mask is read off the loss mask once, when it is first met
     maps: dict[int, tuple | None] = {}
-    groups: dict[int, set[int]] = {}
+    masks: dict[int, int] = {}
+    groups: dict[int, list[int]] = {}
     rebuilt = {}
     lost_messages = [t for t in stream.erased if t < t_count]
     for t in lost_messages:
-        for j in range(k):
-            d = t - j
-            erased = (lost >> d if d >= 0 else lost << -d) & full
-            recovery = maps.get(erased, maps)
-            if recovery is maps:
-                positions = [i for i in range(n) if erased >> i & 1]
-                recovery = maps[erased] = _erasure_map(code, positions)
-            if recovery is None:
+        for d in range(t, t - k, -1):
+            erased = masks.get(d)
+            if erased is None:
+                erased = masks[d] = (lost >> d if d >= 0 else lost << -d) & full
+                if erased not in maps:
+                    positions = [i for i in range(n) if erased >> i & 1]
+                    maps[erased] = _erasure_map(code, positions)
+                if maps[erased] is not None:
+                    groups.setdefault(erased, []).append(d)
+            if maps[erased] is None:
                 break
-            groups.setdefault(erased, set()).add(d)
         else:
             rebuilt[t] = [None] * k
     # apply: each group's map to all its diagonals at once, for the erased
     # message symbols only
-    for erased, group in groups.items():
-        diagonals = list(group)
+    for erased, diagonals in groups.items():
         # known position j of diagonal d is in slot d + j; pre-stream slots read 0
         known = [[stream.packets[d + j][j] if d + j >= 0 else 0 for d in diagonals]
                  for j in range(n) if not erased >> j & 1]

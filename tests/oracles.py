@@ -86,6 +86,8 @@ class DigitField:
         self._dig = [_digits(v, field.p, field.m) for v in range(field.q)] if digits else None
         self.mul = field.mul
         self.inv = field.inv
+        # the rows its primitives return are lists, as for large fields
+        self.row = list
 
     def add(self, a: int, b: int) -> int:
         if self.m == 1:

@@ -3,6 +3,7 @@ everything else leans on."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from erasurelab.algebra import (
     Matrix,
     Poly,
     _push,
+    _recovery,
     _reduce,
     columns_independent,
     field_make,
@@ -27,6 +29,9 @@ from erasurelab.algebra import (
     x_pow_n_minus_1,
     zrun,
 )
+from erasurelab.analysis import exhaustive_code_search
+from erasurelab.channel import ChannelParams, decode_erasures
+from erasurelab.codes import generator_matrix, mds_code
 from erasurelab.errors import (
     BadFieldOverride,
     BadParameters,
@@ -40,6 +45,7 @@ from erasurelab.errors import (
     SingularBlock,
     TooLarge,
 )
+from erasurelab.streaming import StreamingParams, de_decode, de_encode
 
 # ---------------------------------------------------------------------------
 # modulus selection
@@ -185,24 +191,68 @@ def test_flat_tables_match_element_methods(q):
         assert f._at[a][b] == f.add(a, b)
 
 
-@pytest.mark.parametrize("q", [2, 9, 11, 243, 256, 257, 625, 1024, 65536])
+@pytest.mark.parametrize(
+    "q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 243, 256, 257, 625, 1024, 65536]
+)
 def test_row_primitives_match_element_loops(q):
-    """Flat tables up to q = 256, exp/log products and element-method sums
-    above: the same results as the element methods, c = 0 and 1 included."""
+    """Byte rows up to q = 16, flat tables up to q = 256, exp/log products
+    and element-method sums above: the same values as the element methods,
+    for empty, short and 1,000-symbol rows, c = 0 and 1 included, each
+    returned as the family's row type."""
     f = field_make(q)
     assert (f._mt is None) == (q > 256)
+    assert f.row is (bytes if q <= 16 else list)
     rng = random.Random(q)
-    for _ in range(300):
-        n = rng.randint(0, 9)
-        u = [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(n)]
-        v = [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(n)]
-        c = rng.choice([0, 1, rng.randrange(q)])
-        assert f.submul(v, c, u) == [f.sub(a, f.mul(c, x)) for a, x in zip(v, u)]
-        assert f.scale(c, u) == [f.mul(c, x) for x in u]
+    for size in [0] * 10 + [rng.randint(1, 9) for _ in range(290)] + [1000] * 6:
+        u = [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(size)]
+        v = [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(size)]
+        for c in (0, 1, rng.randrange(q)):
+            got = f.submul(v, c, u)
+            assert type(got) is f.row
+            assert list(got) == [f.sub(a, f.mul(c, x)) for a, x in zip(v, u)]
+            got = f.scale(c, u)
+            assert type(got) is f.row
+            assert list(got) == [f.mul(c, x) for x in u]
+            # rows of the family's own type give the same values
+            assert list(f.submul(f.row(v), c, f.row(u))) == list(f.submul(v, c, u))
         acc = 0
         for x, y in zip(u, v):
             acc = f.add(acc, f.mul(x, y))
-        assert f.dot(u, v) == acc
+        assert f.dot(u, v) == acc == f.dot(f.row(u), f.row(v))
+
+
+def _only_ints(value) -> bool:
+    """True iff value is an int or nests tuples and lists down to ints only."""
+    if isinstance(value, (tuple, list)):
+        return all(_only_ints(x) for x in value)
+    return type(value) is int
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 16, 17, 257])
+def test_values_leaving_the_package_are_ints(q):
+    """Byte rows stay inside the package: matrices, packets, decoded
+    messages, found matrices, polynomials and the recovery map rows that
+    generator_matrix reads hold ints only, for every row family."""
+    f = field_make(q)
+    code = mds_code(6, 3, q=q)
+    m, _ = _recovery(f, code.h.data, range(3, 6))
+    assert _only_ints([[row[i] for i in range(3)] for row in m])
+    assert _only_ints(generator_matrix(code).data)
+    assert _only_ints(systematic_form(code.h, side="right").data)
+    assert _only_ints((code.h @ Matrix(f, [[1], [2], [3], [4], [0], [1]])).data)
+    assert _only_ints(solve_for_columns(code.h, (0, 2, 4), [1, 0, 1]))
+    stream = de_encode(code, [(t % q, 1, 2) for t in range(12)])
+    assert _only_ints(stream.packets)
+    lossy = dataclasses.replace(stream, erased=frozenset({3, 4}))
+    trace = de_decode(lossy, code, StreamingParams(ChannelParams(1, 2, 1, 6), 5))
+    assert trace.messages_failed == 0 and _only_ints(trace.messages)
+    assert _only_ints(decode_erasures(code, [None, 1, None, 0, 2, None]))
+    a, b = Poly(f, (1, 2, 3)), Poly(f, (2, 0, 1))
+    assert _only_ints(poly_mul(a, b).coeffs)
+    assert all(_only_ints(r.coeffs) for r in poly_divmod(poly_mul(a, b), Poly(f, (1, 1))))
+    if q <= 16:
+        found = exhaustive_code_search(5, 2, 1, q)
+        assert found is not None and _only_ints(found.h.data)
 
 
 @pytest.mark.parametrize(

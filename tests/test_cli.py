@@ -19,7 +19,9 @@ from erasurelab.algebra import (
     Matrix,
     Poly,
     field_make,
+    poly_divides,
     poly_divmod,
+    poly_mul,
     solve_for_columns,
     systematic_form,
     x_pow_n_minus_1,
@@ -847,6 +849,13 @@ def _edited_cyclic_file():
     ("cyclic_from_h(7, 2, None)", BadParameters),
     ("LinearCode(None)", BadParameters),
     ("rate_report(None)", BadParameters),
+    ("x_pow_n_minus_1('x', 3)", BadParameters),
+    ("poly_mul(None, Poly(field_make(3), (1, 1)))", BadParameters),
+    ("poly_mul(Poly(field_make(3), (1, 1)), 5)", BadParameters),
+    ("poly_divmod(Poly(field_make(3), (1, 1)), None)", BadParameters),
+    ("poly_divmod(7, Poly(field_make(3), (1, 1)))", BadParameters),
+    ("poly_divides(None, Poly(field_make(3), (1, 1)))", BadParameters),
+    ("poly_divides(Poly(field_make(3), (1, 1)), 'x')", BadParameters),
 ])
 def test_guards_raise_typed_errors(capsys, tmp_path, call, error):
     """Library calls raise the typed error; CLI runs (argv lists, with CODE a
