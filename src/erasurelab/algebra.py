@@ -15,7 +15,7 @@ q <= 2**16, which is far beyond what any construction in this package needs.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from dataclasses import dataclass
 from itertools import chain
 
@@ -150,20 +150,20 @@ class Field:
     Do not instantiate directly; go through :func:`field_make` so that equal
     sizes share one (immutable, table-backed) instance.
 
-    Besides the element methods, a field carries three row primitives, the
-    only vector arithmetic the kernels use: ``submul(v, c, u)`` is v - c*u,
-    ``scale(c, u)`` is c*u and ``dot(u, v)`` the dot product. They take any
-    sequences of elements and return rows of the type ``row``, which also
-    makes a row from a sequence. Which family serves them is decided once,
-    when the field is built: up to q = 16 rows are ``bytes`` and each
-    operation is one shift-or and one ``bytes.translate`` (_nibble_rows), up
-    to q = 256 rows are lists indexed through flat q x q tables
-    (_table_rows), and above that lists built through exp/log (_log_rows).
+    Besides the element methods, a field carries two row primitives, the
+    only vector arithmetic the kernels use: ``submul(v, c, u)`` is v - c*u
+    and ``scale(c, u)`` is c*u. They take any sequences of elements and
+    return rows of the type ``row``, which also makes a row from a sequence.
+    Which family serves them is decided once, when the field is built: up to
+    q = 16 rows are ``bytes`` and each operation is one shift-or and one
+    ``bytes.translate`` (_nibble_rows), up to q = 256 rows are lists indexed
+    through flat q x q tables (_table_rows), and above that lists built
+    through exp/log (_log_rows).
     """
 
     __slots__ = (
-        "q", "p", "m", "modulus", "_exp", "_log", "_gen", "_zech", "_mt", "_at",
-        "row", "submul", "scale", "dot",
+        "q", "p", "m", "modulus", "_exp", "_log", "_zech", "_mt", "_at",
+        "row", "submul", "scale",
     )
 
     def __init__(self, q: int):
@@ -248,7 +248,6 @@ class Field:
             log[x] = i
             x = times_gen(x)
         exp[q - 1 :] = exp[: q - 1]
-        self._gen = gen
         self._exp = exp
         self._log = log
         # Zech logarithms for odd-characteristic extension fields:
@@ -271,7 +270,7 @@ class Field:
             self.row, rows = bytes, _nibble_rows
         else:
             self.row, rows = list, _table_rows if q <= _TABLE_CAP else _log_rows
-        self.submul, self.scale, self.dot = rows(self)
+        self.submul, self.scale = rows(self)
 
     # -- element arithmetic ----------------------------------------------
 
@@ -343,7 +342,7 @@ class Field:
 
     def primitive_element(self) -> int:
         """The smallest-encoding generator of the multiplicative group."""
-        return self._gen
+        return self._exp[1]
 
     # -- misc --------------------------------------------------------------
 
@@ -386,8 +385,7 @@ def _nibble_rows(f: Field):
     16, so (int(v) << 4) | int(u), where int(x) = int.from_bytes(x,
     "little"), holds the pair (v[i], u[i]) in byte i with no carry between
     bytes. One translate through a 256-byte table per c then maps every pair
-    to v[i] - c*u[i]; scale is one translate and dot one more, all at C
-    speed."""
+    to v[i] - c*u[i], and scale is one translate, both at C speed."""
     q, from_bytes = f.q, int.from_bytes
 
     def pairs(v, u) -> bytes:
@@ -413,13 +411,7 @@ def _nibble_rows(f: Field):
     def scale(c: int, u) -> bytes:
         return bytes(u).translate(scales[c])
 
-    def dot(u, v) -> int:
-        acc = 0
-        for x in pairs(u, v).translate(products):
-            acc = sums[acc << 4 | x]
-        return acc
-
-    return submul, scale, dot
+    return submul, scale
 
 
 def _table_rows(f: Field):
@@ -436,19 +428,13 @@ def _table_rows(f: Field):
         mc = mt[c]
         return [mc[x] for x in u]
 
-    def dot(u, v) -> int:
-        acc = 0
-        for x, y in zip(u, v):
-            acc = at[acc][mt[x][y]]
-        return acc
-
-    return submul, scale, dot
+    return submul, scale
 
 
 def _log_rows(f: Field):
     """The row primitives for fields too large for flat tables: products
-    through the exp/log tables, sums through the element methods."""
-    add, sub, exp, log = f.add, f.sub, f._exp, f._log
+    through the exp/log tables, differences through the element method sub."""
+    sub, exp, log = f.sub, f._exp, f._log
 
     def submul(v, c: int, u) -> list[int]:
         if not c:
@@ -462,14 +448,7 @@ def _log_rows(f: Field):
         lc = log[c]
         return [exp[lc + log[x]] if x else 0 for x in u]
 
-    def dot(u, v) -> int:
-        acc = 0
-        for x, y in zip(u, v):
-            if x and y:
-                acc = add(acc, exp[log[x] + log[y]])
-        return acc
-
-    return submul, scale, dot
+    return submul, scale
 
 
 # cached per q: each code built, file read, stream checked and search run over GF(q) repeats it
@@ -651,12 +630,12 @@ class Matrix:
         return tuple(r[j] for r in self.data)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        _require_same_field(self.field, other.field)
+        _require_same_field(self.field, _instance(other, Matrix, "other").field)
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.ncols} cols vs {other.nrows} rows")
         f = self.field
         cols = list(zip(*other.data))
-        return _matrix(f, [[f.dot(r, c) for c in cols] for r in self.data])
+        return _matrix(f, [[reduce(f.add, map(f.mul, r, c), 0) for c in cols] for r in self.data])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -773,23 +752,24 @@ def vectors_independent(field: Field, vectors) -> bool:
     return all(_push(field, basis, v) for v in vectors)
 
 
-def _first_dependent(field: Field, cols, supports):
-    """(supports walked, the first whose cols are dependent, or None).
+def _first_dependent(h: Matrix, supports):
+    """(supports walked, the first whose columns of h are dependent, or None).
 
-    A support is a tuple of indices into cols. One pivot basis is carried
-    along: it is cut back to the prefix each support shares with the one
-    before, and only the rest is pushed. That is right in any order.
+    A support is a tuple of indices into the columns of h. One pivot basis
+    is carried along: it is cut back to the prefix each support shares with
+    the one before, and only the rest is pushed. That is right in any order.
 
-    Next to the basis, levels[d][j] holds cols[j] reduced against basis[:d]
+    Next to the basis, levels[d][j] holds column j reduced against basis[:d]
     (None until a push needs it); a cut drops the levels past the prefix.
     A push at depth d starts from the deepest level that holds its column
     and applies only the basis rows after it, storing each level on the
     way: the same row operations as _reduce, so the same basis rows, but in
     lexicographic order about one row operation per pushed column.
     """
-    submul, scale, inv, n = field.submul, field.scale, field.inv, len(cols)
+    field = h.field
+    submul, scale, inv, n = field.submul, field.scale, field.inv, h.ncols
     basis: list = []
-    levels: list = [list(map(field.row, cols))]
+    levels: list = [list(map(field.row, zip(*h.data)))]
     prev: tuple = ()
     checked = 0
     for sup in supports:

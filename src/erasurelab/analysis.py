@@ -186,7 +186,7 @@ def mds_subblock_check(code: LinearCode, b: int, e: int) -> bool:
     if math.comb(code.n - b, e) > _SUBSET_CAP:
         raise TooLarge(f"C({code.n - b},{e}) column subsets exceed the cap")
     family = (tuple(range(b)) + s for s in itertools.combinations(range(b, code.n), e))
-    return _first_dependent(code.field, list(zip(*h.data)), family)[1] is None
+    return _first_dependent(h, family)[1] is None
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def cyclic_report(code: CyclicCode) -> CyclicReport:
         raise RuntimeError("distance exceeds the zero-run bound; this is a bug")
     # each (d-1)-burst with one index outside it; a bare one has d-1 columns, always independent
     family = _supports(n, _burst_extras(n, d - 1, 1))
-    bad = _first_dependent(code.field, list(zip(*code.h.data)), family)[1]
+    bad = _first_dependent(code.h, family)[1]
     witness = None if bad is None else _built(ErasurePattern, n=n, support=bad)
     meets = d == bound
     if meets != (witness is not None):
@@ -306,7 +306,7 @@ def cyclic_burst_capability(code: CyclicCode) -> bool:
         raise WrongProvenance("needs a code built by cyclic_from_h")
     n, r = code.n, code.n - code.k
     family = _supports(n, set(_bursts(n, [r], cyclic=True)))
-    return _first_dependent(code.field, list(zip(*code.h.data)), family)[1] is None
+    return _first_dependent(code.h, family)[1] is None
 
 
 # ---------------------------------------------------------------------------

@@ -379,12 +379,11 @@ def _verify_family(code: LinearCode, path, walk, cover, size) -> VerificationRep
     when some cover support is dependent is the family walked from the start,
     for the first witness and its count.
     """
-    field, cols = code.field, list(zip(*code.h.data))
-    checked, bad = _first_dependent(field, cols, path)
+    checked, bad = _first_dependent(code.h, path)
     if bad is None:
-        if _first_dependent(field, cols, _supports(code.n, cover()))[1] is None:
+        if _first_dependent(code.h, _supports(code.n, cover()))[1] is None:
             return VerificationReport(True, None, size())
-        checked, bad = _first_dependent(field, cols, walk())
+        checked, bad = _first_dependent(code.h, walk())
     return VerificationReport(False, _built(ErasurePattern, n=code.n, support=bad), checked)
 
 

@@ -320,9 +320,8 @@ def _min_weight_enum(code: LinearCode) -> int:
 
 
 def _min_dist_subsets(code: LinearCode) -> int:
-    cols = list(zip(*code.h.data))
     for s in range(1, code.h.nrows + 2):
         family = itertools.combinations(range(code.n), s)
-        if _first_dependent(code.field, cols, family)[1] is not None:
+        if _first_dependent(code.h, family)[1] is not None:
             return s
     raise AssertionError("unreachable: n-k+1 columns are always dependent")

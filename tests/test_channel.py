@@ -323,7 +323,7 @@ class _Pushed(Exception):
     pass
 
 
-def _push_and_stop(field, cols, supports):
+def _push_and_stop(h, supports):
     raise _Pushed(list(supports))
 
 

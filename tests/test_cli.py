@@ -794,6 +794,7 @@ def _edited_cyclic_file():
     ("x_pow_n_minus_1(field_make(3), 0)", BadParameters),
     ("poly_divmod(Poly(field_make(3), (1, 1)), Poly(field_make(3), ()))", DivisionByZero),
     ("construction_one(8, 3, 1).h @ construction_one(8, 3, 1).h", DimensionMismatch),
+    ("Matrix(field_make(5), [[1, 2], [3, 4]]) @ 3", BadParameters),
     ("can_recover(construction_one(8, 3, 1), ErasurePattern(7, (0,)))", LengthMismatch),
     ("enumerate_admissible_windows(ChannelParams(0, 1, 1, 21))", TooLarge),
     ("enumerate_b1b2_patterns(21, 1, 1)", TooLarge),

@@ -667,10 +667,10 @@ def test_first_dependent_matches_per_support_loop(q):
             # suffixes, as one-shot iterators: each walk starts from an
             # empty basis at another support
             for start in range(0, len(family), 4):
-                assert _first_dependent(f, cols, iter(family[start:])) == (
-                    oracles.first_dependent(f, cols, family[start:])
-                )
-    assert _first_dependent(f, [(1,)], []) == (0, None)
+                assert _first_dependent(
+                    Matrix(f, list(zip(*cols))), iter(family[start:])
+                ) == oracles.first_dependent(f, cols, family[start:])
+    assert _first_dependent(Matrix(f, [(1,)]), []) == (0, None)
 
 
 def _codes_for_distance(rng, q):
@@ -873,9 +873,16 @@ def test_package_built_values_equal_checked_ones(q):
     build from them."""
     rng = random.Random(7000 + q)
     f = field_make(q)
+    # digit-wise sums, read from no sum table of the field
+    digits = oracles.digit_field(f)
     for rows in itertools.islice(_elimination_inputs(rng, q), 60):
         h = Matrix(f, rows)
-        _assert_as_checked(h @ Matrix(f, _random_rows(rng, q, h.ncols, rng.randint(1, 4))))
+        m = Matrix(f, _random_rows(rng, q, h.ncols, rng.randint(1, 4)))
+        prod = h @ m
+        _assert_as_checked(prod)
+        assert prod.data == tuple(
+            tuple(_ref_dot(digits, r, c) for c in zip(*m.data)) for r in h.data
+        )
         for side in ("left", "right"):
             out = _outcome(systematic_form, h, side)
             if out[0] == "ok":

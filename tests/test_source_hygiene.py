@@ -9,10 +9,11 @@ and neither importing the package and its CLI nor running a search with
 several workers loads process-pool machinery. No cached function is
 annotated to return a list, dict or set, and the cached functions are a
 fixed few, each under a comment that names the repeats it serves. Only a
-fixed few kernels read the ``submul`` row primitive, and only the batch
-element check reads ``Field.check``. Every function the benchmark tracer
-wraps by name exists in the package, and so does every ``Field`` method it
-wraps through ``vars(Field)``."""
+fixed few kernels read the ``submul`` row primitive, each row family
+returns exactly the two row primitives, and only the batch element check
+reads ``Field.check``. Every function the benchmark tracer wraps by name
+exists in the package, and so does every ``Field`` method it wraps
+through ``vars(Field)``."""
 
 import ast
 import inspect
@@ -281,6 +282,27 @@ def test_only_the_kernels_read_submul():
         "_min_weight_enum",
         "sparsify_construction_one",
     }
+
+
+def test_row_primitives_are_submul_and_scale():
+    """A field carries two row primitives: each row family returns exactly
+    ``(submul, scale)``, and the row members of ``Field.__slots__`` (the
+    callables a built field holds) are ``row``, ``submul`` and ``scale``,
+    so a third primitive takes a deliberate edit here."""
+    families = {
+        node.name: node
+        for node in _modules()["algebra.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_rows")
+    }
+    assert sorted(families) == ["_log_rows", "_nibble_rows", "_table_rows"]
+    for fn in families.values():
+        returns = [ast.unparse(node.value) for node in fn.body if isinstance(node, ast.Return)]
+        assert returns == ["(submul, scale)"], fn.name
+    algebra = erasurelab.algebra
+    for q in (16, 256, 257):  # one field per family
+        f = algebra.field_make(q)
+        row_members = [s for s in algebra.Field.__slots__ if callable(getattr(f, s))]
+        assert row_members == ["row", "submul", "scale"]
 
 
 def test_only_the_batch_check_reads_field_check():
