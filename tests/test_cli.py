@@ -794,7 +794,6 @@ def _edited_cyclic_file():
     ("x_pow_n_minus_1(field_make(3), 0)", BadParameters),
     ("poly_divmod(Poly(field_make(3), (1, 1)), Poly(field_make(3), ()))", DivisionByZero),
     ("construction_one(8, 3, 1).h @ construction_one(8, 3, 1).h", DimensionMismatch),
-    ("Matrix(field_make(5), [[1, 2], [3, 4]]) @ 3", BadParameters),
     ("can_recover(construction_one(8, 3, 1), ErasurePattern(7, (0,)))", LengthMismatch),
     ("enumerate_admissible_windows(ChannelParams(0, 1, 1, 21))", TooLarge),
     ("enumerate_b1b2_patterns(21, 1, 1)", TooLarge),
@@ -857,6 +856,7 @@ def _edited_cyclic_file():
     ("poly_divmod(7, Poly(field_make(3), (1, 1)))", BadParameters),
     ("poly_divides(None, Poly(field_make(3), (1, 1)))", BadParameters),
     ("poly_divides(Poly(field_make(3), (1, 1)), 'x')", BadParameters),
+    ("Matrix(field_make(5), [[1, 2], [3, 4]]) @ 3", BadParameters),
 ])
 def test_guards_raise_typed_errors(capsys, tmp_path, call, error):
     """Library calls raise the typed error; CLI runs (argv lists, with CODE a
