@@ -580,7 +580,7 @@ def zrun(p: Poly) -> int:
     exactly the maximal blocks of consecutive zeros between two nonzero
     coefficients.
     """
-    if p.degree < 1:
+    if _instance(p, Poly, "p").degree < 1:
         raise InvalidPolynomial("need degree >= 1")
     if p.coeffs[0] == 0:
         raise InvalidPolynomial("constant term must be nonzero")
@@ -729,21 +729,20 @@ def _rref(field: Field, rows) -> list[tuple[int, list[int] | bytes]]:
 def _recovery(field: Field, rows, wanted):
     """(M, C) from the RREF [I M; 0 C] of rows with the wanted columns moved
     first and the rest kept in order: rows·v = 0 iff v[wanted] = -M·v[rest]
-    and C·v[rest] = 0. Raises DependentColumns when the wanted columns are
-    dependent."""
+    and C·v[rest] = 0; None when the wanted columns are dependent."""
     wanted = list(wanted)
     k = len(wanted)
     order = wanted + [j for j in range(len(rows[0])) if j not in wanted]
     rref = _rref(field, [[row[j] for j in order] for row in rows])
     if [lead for lead, _ in rref[:k]] != list(range(k)):
-        raise DependentColumns("selected columns are linearly dependent")
+        return None
     return [row[k:] for _, row in rref[:k]], [row[k:] for _, row in rref[k:]]
 
 
 def mat_rank(m: Matrix) -> int:
     """Rank: the number of rows a pivot basis accepts, pushed in order."""
     basis: list = []
-    return sum(_push(m.field, basis, row) for row in m.data)
+    return sum(_push(m.field, basis, row) for row in _instance(m, Matrix, "m").data)
 
 
 def vectors_independent(field: Field, vectors) -> bool:
@@ -821,7 +820,7 @@ def systematic_form(m: Matrix, side: str = "left") -> Matrix:
     """
     if side not in ("left", "right"):
         raise BadParameters(f"side must be 'left' or 'right', got {side!r}")
-    f = m.field
+    f = _instance(m, Matrix, "m").field
     nr, nc = m.nrows, m.ncols
     if nr > nc:
         raise DimensionMismatch("more rows than columns")
@@ -851,7 +850,10 @@ def solve_for_columns(h: Matrix, cols, syndrome) -> list[int]:
     _check_elements(f, (syndrome,))
     aug = [[row[c] for c in cols] + [v] for row, v in zip(h.data, syndrome)]
     # [H_E | s]·(x, -1) = 0: x = M's one column, and any row of C is [c != 0]
-    m, c = _recovery(f, aug, range(len(cols)))
+    recovery = _recovery(f, aug, range(len(cols)))
+    if recovery is None:
+        raise DependentColumns("selected columns are linearly dependent")
+    m, c = recovery
     if c:
         raise InconsistentSyndrome("known symbols contradict the code")
     return [row[0] for row in m]

@@ -37,7 +37,6 @@ from fractions import Fraction
 
 from .algebra import (
     _built,
-    _digits,
     _first_dependent,
     _instance,
     _json_int,
@@ -214,7 +213,7 @@ def sparsify_construction_one(code: LinearCode) -> SparsityReport:
     the parity columns of weight exactly 2 (all others have weight 3, apart
     from the identity block).
     """
-    prov = code.provenance
+    prov = _instance(code, LinearCode, "code").provenance
     b2 = prov.get("b2")
     b2_is_one = isinstance(b2, int) and not isinstance(b2, bool) and b2 == 1
     if prov.get("construction") != "construction_one" or not b2_is_one:
@@ -354,17 +353,22 @@ def _prep_groups(n: int, r: int, supports):
 
 
 def _normalized(q: int, r: int):
-    """0, then every column whose highest nonzero digit is 1, ascending.
+    """The zero column, then every column whose highest nonzero digit is 1,
+    as r digits (lowest first) in ascending base-q encoding.
 
     These are the smallest encodings in each scaling class {c*v : c != 0}.
     Scaling a column of P keeps every pattern recoverable, so the first valid
     [P | I] in scan order is made of such columns only.
     """
-    return itertools.chain((0,), *(range(q**t, 2 * q**t) for t in range(r)))
+    yield (0,) * r
+    for t in range(r):
+        top = (1,) + (0,) * (r - t - 1)
+        for low in itertools.product(range(q), repeat=t):
+            yield low[::-1] + top
 
 
-def _zero_one(q: int, r: int):
-    """The 2^r columns with 0/1 digits, ascending (s's bits read in base q).
+def _zero_one(r: int):
+    """The 2^r columns with 0/1 digits (lowest first), ascending in any base.
 
     Scaling each row i of H with P[i][0] != 0 by 1/P[i][0] keeps the code,
     and scaling the identity columns back keeps every column subset's
@@ -372,7 +376,7 @@ def _zero_one(q: int, r: int):
     below any other vector with that support, and the other columns can be
     normalized again, so the first valid [P | I] has a 0/1 column 0.
     """
-    return (sum(q**i for i in range(r) if s >> i & 1) for s in range(2**r))
+    return (bits[::-1] for bits in itertools.product((0, 1), repeat=r))
 
 
 def _dfs(field, r: int, groups, depth: int, cols, candidates):
@@ -391,9 +395,7 @@ def _dfs(field, r: int, groups, depth: int, cols, candidates):
             if not _push(field, basis, [cols[c][i] for i in kept]):
                 return None
         bases.append((kept, basis))
-    q = field.q
-    for v in candidates:
-        col = _digits(v, q, r)
+    for col in candidates:
         for kept, basis in bases:
             if not any(_reduce(field, basis, [col[i] for i in kept])):
                 break
@@ -401,7 +403,7 @@ def _dfs(field, r: int, groups, depth: int, cols, candidates):
             cols.append(col)
             if depth + 1 == len(groups):
                 return list(cols)
-            found = _dfs(field, r, groups, depth + 1, cols, _normalized(q, r))
+            found = _dfs(field, r, groups, depth + 1, cols, _normalized(field.q, r))
             if found is not None:
                 return found
             cols.pop()
@@ -430,7 +432,7 @@ def _run_search(n: int, r: int, q: int, workers: int, family, fields: dict):
         raise TooLarge(f"q^(r*k) = {count} candidates exceed the search cap")
     field = field_make(q)  # validates q, including NotPrimePower
     groups = _prep_groups(n, r, _supports(n, [m for m in family() if m.bit_count() == r]))
-    cols = _dfs(field, r, groups, 0, [], _zero_one(q, r))
+    cols = _dfs(field, r, groups, 0, [], _zero_one(r))
     if cols is None:
         return None
     rows = [

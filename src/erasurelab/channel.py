@@ -27,7 +27,6 @@ from .algebra import (
 from .codes import LinearCode
 from .errors import (
     BadParameters,
-    DependentColumns,
     DivisibilityViolation,
     InconsistentSyndrome,
     LengthMismatch,
@@ -305,15 +304,6 @@ def can_recover(code: LinearCode, pattern: ErasurePattern) -> bool:
     return columns_independent(code.h, pattern.support)
 
 
-def _erasure_map(code: LinearCode, erased):
-    """The (M, C) map of _recovery for the erased positions of code, or None
-    when their columns are dependent."""
-    try:
-        return _recovery(code.field, code.h.data, erased)
-    except DependentColumns:
-        return None
-
-
 def _erased_values(field, recovery, known, wanted) -> list:
     """The erased symbols of a batch of received words that share one erased
     set, from its (M, C) map recovery and the words' known symbols, one
@@ -359,7 +349,7 @@ def decode_erasures(code: LinearCode, received) -> list[int]:
     erased = [i for i, v in enumerate(received) if v is None]
     known = [(v,) for v in received if v is not None]
     _check_elements(f, known)
-    recovery = _erasure_map(code, erased)
+    recovery = _recovery(f, code.h.data, erased)
     if recovery is None:
         raise Unrecoverable(f"erasures at {erased} are not recoverable")
     for i, (x,) in zip(erased, _erased_values(f, recovery, known, range(len(erased)))):

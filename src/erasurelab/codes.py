@@ -279,7 +279,7 @@ def min_distance(code: LinearCode) -> int:
     n <= 24. The enumeration is taken when it is no more work than that
     bound; for n > 24 and q^k within the cap it always is.
     """
-    q, k, n = code.field.q, code.k, code.n
+    q, k, n = _instance(code, LinearCode, "code").field.q, code.k, code.n
     if q**k <= _ENUM_CAP and (q**k - 1) // (q - 1) <= sum(
         math.comb(n, s) for s in range(1, n - k + 2)
     ):

@@ -26,12 +26,11 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 
-from .algebra import _built, _check_elements, _instance, _json_int, _tuple, field_make
+from .algebra import _built, _check_elements, _instance, _json_int, _recovery, _tuple, field_make
 from .channel import (
     ChannelParams,
     VerificationReport,
     _erased_values,
-    _erasure_map,
     _mask,
     _mask_admissible,
     _verify_windows,
@@ -138,13 +137,12 @@ def _parity_map(code: LinearCode):
     solved as erased ones. NotSystematic when their columns of H are
     dependent, i.e. when the code has no generator [I_k | P]."""
     try:
-        parity = range(code.k, code.n)
+        parity, systematic = range(code.k, code.n), code.systematic
     except AttributeError:
         raise BadParameters(f"code must be LinearCode, got {code!r}") from None
-    recovery = _erasure_map(code, parity)
-    if recovery is None:
+    if not systematic:
         raise NotSystematic("last n-k columns of H are singular")
-    return recovery
+    return _recovery(code.field, code.h.data, parity)
 
 
 def de_encode(code: LinearCode, messages) -> PacketStream:
@@ -226,7 +224,7 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
                 erased = masks[d] = (lost >> d if d >= 0 else lost << -d) & full
                 if erased not in maps:
                     positions = [i for i in range(n) if erased >> i & 1]
-                    maps[erased] = _erasure_map(code, positions)
+                    maps[erased] = _recovery(code.field, code.h.data, positions)
                 if maps[erased] is not None:
                     groups.setdefault(erased, []).append(d)
             if maps[erased] is None:

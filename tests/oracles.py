@@ -6,9 +6,9 @@ elimination routine and Zech-logarithm addition, and the eager pattern-family
 enumerators it used before one burst/union builder and a lazy window walk
 replaced them, and the exhaustive [P | I] search as it was when each chunk
 rebuilt its pattern family from a tag, and the minimum-distance subset search
-and per-pattern independence loop (with its first-path variant) that one
-prefix-sharing walk replaced, and the syndrome-then-solve erasure decoder
-and right-systematic-form generator that one erased-coordinate map
+and per-pattern independence loop that one prefix-sharing walk
+replaced, and the syndrome-then-solve erasure decoder and
+right-systematic-form generator that one erased-coordinate map
 replaced, and the stream encoder and decoder that worked one diagonal at a
 time before both moved to whole-stream row operations, and the simulator as
 it was when every payload symbol was its own randrange(q) call, and the

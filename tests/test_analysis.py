@@ -429,7 +429,8 @@ def test_normalized_columns_are_the_scaling_class_minima(q, r):
         digits = _digits(v, q, r)
         minima.add(min(encode([f.mul(c, d) for d in digits]) for c in range(1, q)))
     scan = list(analysis._normalized(q, r))
-    assert scan == sorted(minima)
+    assert all(len(col) == r for col in scan)
+    assert [encode(col) for col in scan] == sorted(minima)
     assert len(scan) == 1 + (q**r - 1) // (q - 1)
 
 
@@ -438,9 +439,11 @@ def test_normalized_columns_are_the_scaling_class_minima(q, r):
 def test_zero_one_columns_are_an_ascending_part_of_the_normalized_scan(q, r):
     """Column 0 is scanned over the 0/1 vectors only, in scan order, and
     over GF(2) that is the whole normalized scan."""
-    scan = list(analysis._zero_one(q, r))
+    scan = list(analysis._zero_one(r))
+    assert all(len(col) == r for col in scan)
     # every 0/1 vector, in ascending order
-    assert scan == [v for v in range(q**r) if set(_digits(v, q, r)) <= {0, 1}]
+    encoded = [sum(d * q**i for i, d in enumerate(col)) for col in scan]
+    assert encoded == [v for v in range(q**r) if set(_digits(v, q, r)) <= {0, 1}]
     assert len(scan) == 2**r
     normalized = iter(analysis._normalized(q, r))
     assert all(v in normalized for v in scan)  # consumes: a subsequence

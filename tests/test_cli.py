@@ -19,12 +19,14 @@ from erasurelab.algebra import (
     Matrix,
     Poly,
     field_make,
+    mat_rank,
     poly_divides,
     poly_divmod,
     poly_mul,
     solve_for_columns,
     systematic_form,
     x_pow_n_minus_1,
+    zrun,
 )
 from erasurelab.analysis import (
     rate_report,
@@ -32,6 +34,7 @@ from erasurelab.analysis import (
     exhaustive_code_search,
     mds_subblock_check,
     resolve_workers,
+    sparsify_construction_one,
 )
 from erasurelab.channel import (
     ChannelParams,
@@ -857,6 +860,11 @@ def _edited_cyclic_file():
     ("poly_divides(None, Poly(field_make(3), (1, 1)))", BadParameters),
     ("poly_divides(Poly(field_make(3), (1, 1)), 'x')", BadParameters),
     ("Matrix(field_make(5), [[1, 2], [3, 4]]) @ 3", BadParameters),
+    ("zrun('x')", BadParameters),
+    ("mat_rank('x')", BadParameters),
+    ("systematic_form('x')", BadParameters),
+    ("min_distance('x')", BadParameters),
+    ("sparsify_construction_one('x')", BadParameters),
 ])
 def test_guards_raise_typed_errors(capsys, tmp_path, call, error):
     """Library calls raise the typed error; CLI runs (argv lists, with CODE a

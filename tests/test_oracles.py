@@ -25,6 +25,7 @@ from erasurelab.algebra import (
     _check_elements,
     _digits,
     _first_dependent,
+    _recovery,
     columns_independent,
     field_make,
     mat_rank,
@@ -260,6 +261,38 @@ def test_erasure_map_matches_syndrome_decoder(q):
         "known symbols contradict the code",
         "received word is not a codeword",
     }
+
+
+@pytest.mark.parametrize("q", (16, 256, 257))  # one field per row family
+def test_recovery_is_none_exactly_when_the_wanted_columns_are_dependent(q):
+    """_recovery answers None exactly when columns_independent says the
+    wanted columns are dependent. Otherwise (M, C) is the decoders' map:
+    [I M; 0 C] annihilates the reference null space of H (wanted columns
+    first, the rest in order), has H's rank, and is in reduced row echelon
+    form, which makes it the one RREF of H in that column order."""
+    rng = random.Random(7000 + q)
+    f = field_make(q)
+    dependent = 0
+    for code in _erasure_codes(rng, q):
+        h, n = code.h, code.n
+        for wanted in (rng.sample(range(n), rng.randint(0, n)) for _ in range(6)):
+            rest = [j for j in range(n) if j not in wanted]
+            recovery = _recovery(f, h.data, wanted)
+            assert (recovery is None) == (not columns_independent(h, wanted))
+            if recovery is None:
+                dependent += 1
+                continue
+            m, c = ([list(row) for row in part] for part in recovery)
+            assert len(m) == len(wanted) and len(m) + len(c) == oracles.mat_rank(h)
+            for x in oracles.nullspace_generator(code).data:
+                y = [x[j] for j in rest]
+                assert [f.neg(_ref_dot(f, row, y)) for row in m] == [x[i] for i in wanted]
+                assert all(_ref_dot(f, row, y) == 0 for row in c)
+            leads = [next(j for j, v in enumerate(row) if v) for row in c]
+            assert leads == sorted(set(leads)) and all(c[i][j] == 1 for i, j in enumerate(leads))
+            assert all(row[j] == 0 for j in leads for row in m)
+            assert all(row[j] == 0 for i, j in enumerate(leads) for row in c[:i] + c[i + 1:])
+    assert dependent
 
 
 def test_de_decode_flags_a_tampered_parity_symbol():
@@ -609,7 +642,7 @@ def test_two_worker_search_hits_at_the_last_column_0():
     reference's H."""
     found, ref = _search_outcomes("burst-random", 6, 1, 4, 3, workers=2)
     assert found == ref and found[1] is not None
-    col0 = sum(row[0] * 3**i for i, row in enumerate(found[1].data))
+    col0 = tuple(row[0] for row in found[1].data)
     assert list(_normalized(3, 5)).index(col0) == 81
 
 

@@ -11,9 +11,10 @@ annotated to return a list, dict or set, and the cached functions are a
 fixed few, each under a comment that names the repeats it serves. Only a
 fixed few kernels read the ``submul`` row primitive, each row family
 returns exactly the two row primitives, and only the batch element check
-reads ``Field.check``. Every function the benchmark tracer wraps by name
-exists in the package, and so does every ``Field`` method it wraps
-through ``vars(Field)``."""
+reads ``Field.check``. Only the public solver raises DependentColumns,
+and only the verifier and the stream encoder raise NotSystematic. Every
+function the benchmark tracer wraps by name exists in the package, and so
+does every ``Field`` method it wraps through ``vars(Field)``."""
 
 import ast
 import inspect
@@ -251,21 +252,25 @@ def test_each_cache_names_the_repeats_it_serves():
     assert unexplained == []
 
 
-def _readers(attr: str) -> set[str]:
-    """The module-level functions and methods (with whatever they nest) that
-    read ``<something>.<attr>``."""
-    readers = set()
+def _functions():
+    """(name, node) of every module-level function and method, a method
+    named ``Class.method``."""
     for tree in _modules().values():
         for node in tree.body:
             owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
             for fn in node.body if owner else [node]:
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                    isinstance(n, ast.Attribute) and n.attr == attr
-                    and isinstance(n.ctx, ast.Load)
-                    for n in ast.walk(fn)
-                ):
-                    readers.add(owner + fn.name)
-    return readers
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield owner + fn.name, fn
+
+
+def _readers(attr: str) -> set[str]:
+    """The module-level functions and methods (with whatever they nest) that
+    read ``<something>.<attr>``."""
+    return {
+        name for name, fn in _functions()
+        if any(isinstance(n, ast.Attribute) and n.attr == attr and isinstance(n.ctx, ast.Load)
+               for n in ast.walk(fn))
+    }
 
 
 def test_only_the_kernels_read_submul():
@@ -310,6 +315,26 @@ def test_only_the_batch_check_reads_field_check():
     and in one batch: the batch check is the only reader of
     ``<field>.check``, so no per-entry loop creeps back in."""
     assert _readers("check") == {"_check_elements"}
+
+
+def _raisers(error: str) -> set[str]:
+    """The module-level functions and methods (with whatever they nest) that
+    hold ``raise <error>(...)``."""
+    return {
+        name for name, fn in _functions()
+        if any(isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+               and isinstance(n.exc.func, ast.Name) and n.exc.func.id == error
+               for n in ast.walk(fn))
+    }
+
+
+def test_dependent_and_non_systematic_columns_have_fixed_raisers():
+    """Internal maps answer "dependent" with None, so no caller has to catch
+    an error to learn it: only the public solver raises DependentColumns,
+    and only the verifier and the stream encoder raise NotSystematic, both
+    from ``code.systematic``."""
+    assert _raisers("DependentColumns") == {"solve_for_columns"}
+    assert _raisers("NotSystematic") == {"verify_streaming_code", "_parity_map"}
 
 
 def _traced_field_methods():

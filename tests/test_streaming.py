@@ -560,9 +560,9 @@ def test_de_decode_reduces_h_once_per_erased_set(monkeypatch):
     msgs = _random_messages(code.k, code.field.q, 20 * 9 - 8, seed=3)
     stream = dataclasses.replace(de_encode(code, msgs), erased=loss)
     reductions = []
-    recovery = channel._recovery
+    recovery = streaming._recovery
     monkeypatch.setattr(
-        channel, "_recovery", lambda *a: reductions.append(1) or recovery(*a)
+        streaming, "_recovery", lambda *a: reductions.append(1) or recovery(*a)
     )
     trace = de_decode(stream, code, params)
     assert trace.messages == tuple(msgs)
