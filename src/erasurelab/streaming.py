@@ -13,9 +13,10 @@ Encoding and decoding work on whole columns of the stream, through one
 erased-symbol solver: parity = erased symbols solved through the parity
 map, for every diagonal at once. A diagonal's recoverability depends only
 on which of its positions were erased, so the decoder plans the diagonals
-to decode on erased sets alone, then solves each group of diagonals that
-share an erased set from one reduction of H. Symbols are checked once, when
-a PacketStream is built from outside the package.
+to decode on erased sets alone. It reduces H once per call, pivots each
+distinct erased set into that reduction (_pivot_map), and solves each group
+of diagonals that share an erased set from that one map. Symbols are
+checked once, when a PacketStream is built from outside the package.
 """
 
 from __future__ import annotations
@@ -26,7 +27,17 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 
-from .algebra import _built, _check_elements, _instance, _json_int, _recovery, _tuple, field_make
+from .algebra import (
+    _built,
+    _check_elements,
+    _instance,
+    _json_int,
+    _recovery,
+    _reduce,
+    _rref,
+    _tuple,
+    field_make,
+)
 from .channel import (
     ChannelParams,
     VerificationReport,
@@ -187,6 +198,39 @@ def _encode(code: LinearCode, recovery, columns, erased) -> PacketStream:
                   packets=packets, erased=frozenset(erased))
 
 
+def _pivot_map(field, rref, erased):
+    """(M, C) for the erased positions, in the given order, from rref, the
+    RREF of H as (lead, row) pairs: rows·v = 0 iff v[erased] = -M·v[rest] and
+    C·v[rest] = 0, with the rest in order; None when the erased columns are
+    dependent.
+
+    Each erased position e that is not already a lead is pivoted into the
+    first row that is nonzero at e and led by a known position: that row is
+    scaled to 1 at e and the others reduced against it. Every row stays 1 at
+    its lead and every other row 0 there, so with no such row e's column is
+    a combination of the erased leads' columns. Otherwise the rows led by
+    erased positions are [I M] and the rest [0 C], C of rank
+    rank H - |erased|. M is unique only modulo C and C is not reduced, so
+    this is not _recovery's RREF, but -M·y and whether C·y = 0 are the same.
+    """
+    leads, rows = [lead for lead, _ in rref], [row for _, row in rref]
+    for e in erased:
+        if e in leads:
+            continue
+        i = next((i for i, (lead, row) in enumerate(zip(leads, rows))
+                  if row[e] and lead not in erased), None)
+        if i is None:
+            return None
+        pivot = field.scale(field.inv(rows[i][e]), rows[i])
+        rows = [pivot if j == i else _reduce(field, [(e, pivot)], row)
+                for j, row in enumerate(rows)]
+        leads[i] = e
+    rest = [j for j in range(len(rows[0])) if j not in erased]
+    led = dict(zip(leads, rows))
+    return ([[led[e][j] for j in rest] for e in erased],
+            [[row[j] for j in rest] for lead, row in led.items() if lead not in erased])
+
+
 def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -> DecodeTrace:
     """Decode every message packet from the diagonals crossing it.
 
@@ -196,10 +240,11 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
     are reported as failed (times[t] is None).
 
     Whether a diagonal is recoverable depends only on which of its positions
-    were erased. So the diagonals to decode are planned on erased sets alone,
-    grouped by erased set, and each group is solved at once from one
-    reduction of H. Raises InconsistentSyndrome when the known symbols of a
-    planned diagonal contradict the code.
+    were erased. So the diagonals to decode are planned on erased sets alone
+    and grouped by erased set. H is reduced once per call, each distinct
+    erased set is pivoted into that reduction (_pivot_map), and each group is
+    solved at once from its map. Raises InconsistentSyndrome when the known
+    symbols of a planned diagonal contradict the code.
     """
     _instance(stream, PacketStream, "stream")
     _instance(code, LinearCode, "code")
@@ -209,6 +254,7 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
     n, k = stream.n, stream.k
     t_count = stream.message_count
     lost, full = _mask(stream.erased), (1 << n) - 1
+    rref = _rref(code.field, code.h.data)
     # plan: the diagonals through each lost message, up to the first that is
     # not recoverable, grouped by the mask of their erased positions; each
     # diagonal's mask is read off the loss mask once, when it is first met
@@ -224,7 +270,7 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
                 erased = masks[d] = (lost >> d if d >= 0 else lost << -d) & full
                 if erased not in maps:
                     positions = [i for i in range(n) if erased >> i & 1]
-                    maps[erased] = _recovery(code.field, code.h.data, positions)
+                    maps[erased] = _pivot_map(code.field, rref, positions)
                 if maps[erased] is not None:
                     groups.setdefault(erased, []).append(d)
             if maps[erased] is None:
@@ -304,7 +350,9 @@ def periodic_pattern(params: ChannelParams, periods: int) -> tuple[int, ...]:
     loss = tuple(
         p * w + i for p in range(periods) for i in range(span)
     )
-    assert is_stream_admissible(loss, periods * w, params)
+    # every window of the pattern repeats within its first two periods
+    first = min(periods, 2)
+    assert is_stream_admissible(loss[: first * span], first * w, params)
     return loss
 
 
@@ -402,23 +450,33 @@ def _uniform_draws(seed: int, q: int, count: int) -> list[int]:
     >= q, getrandbits(k) for k <= 32 is the next 32-bit output shifted right
     by 32 - k, and getrandbits(32 * N) packs the next N outputs, least
     significant first. So each draw is word >> shift, kept when
-    word < q << shift. The batches may draw words past the last one kept;
-    the generator serves this call alone, so nothing reads them.
+    word < q << shift. For q < 256 a draw reads only the word's top byte,
+    top >> (8 - bits), kept when it is < q: one translate per batch deletes
+    the rejected top bytes and shifts the rest. The batches may draw words
+    past the last one kept; the generator serves this call alone, so
+    nothing reads them.
     """
     rng = random.Random(seed)
     typecode = "I" if array("I").itemsize == 4 else "L"  # unsigned, 4 bytes
     bits = q.bit_length()
     shift = 32 - bits
     limit = q << shift
+    if q < 256:
+        draws = bytes(top >> (8 - bits) for top in range(256))
+        rejected = bytes(top for top in range(256) if draws[top] >= q)
     out: list[int] = []
     while len(out) < count:
         # each word is kept with probability q / 2**bits >= 1/2; ask for the
         # expected number of words and a little more, at most one chunk
         size = min(((count - len(out)) << bits) // q + 32, _CHUNK_WORDS)
-        words = array(typecode, rng.getrandbits(32 * size).to_bytes(4 * size, sys.byteorder))
-        if sys.byteorder == "big":  # the last output drawn is the most significant word
-            words.reverse()
-        out += [word >> shift for word in words if word < limit]
+        if q < 256:  # word i is bytes 4i..4i+3, its top byte last
+            tops = rng.getrandbits(32 * size).to_bytes(4 * size, "little")[3::4]
+            out += tops.translate(draws, rejected)
+        else:
+            words = array(typecode, rng.getrandbits(32 * size).to_bytes(4 * size, sys.byteorder))
+            if sys.byteorder == "big":  # the last output drawn is the most significant word
+                words.reverse()
+            out += [word >> shift for word in words if word < limit]
     del out[count:]
     return out
 

@@ -550,29 +550,35 @@ def test_loss_sources_reject_non_integer_counts_and_seeds(run, what):
         run()
 
 
-def test_de_decode_reduces_h_once_per_erased_set(monkeypatch):
+def test_de_decode_reduces_h_once_and_pivots_each_erased_set_once(monkeypatch):
     """A periodic loss repeats one erased set on the diagonals every period;
-    each distinct set is reduced once in a de_decode call."""
+    a de_decode call reduces H once and pivots each distinct set into that
+    reduction once, with no _recovery of its own."""
     ch = ChannelParams(1, 2, 2, 9)
     code = mds_code(9, 4)
     params = StreamingParams(ch, 8)
     loss = set(periodic_pattern(ch, 20))
     msgs = _random_messages(code.k, code.field.q, 20 * 9 - 8, seed=3)
     stream = dataclasses.replace(de_encode(code, msgs), erased=loss)
-    reductions = []
-    recovery = streaming._recovery
-    monkeypatch.setattr(
-        streaming, "_recovery", lambda *a: reductions.append(1) or recovery(*a)
-    )
+    calls = {"_rref": [], "_pivot_map": [], "_recovery": []}
+    for name, log in calls.items():
+        real = getattr(streaming, name)
+        monkeypatch.setattr(streaming, name,
+                            lambda *a, log=log, real=real: log.append(a) or real(*a))
     trace = de_decode(stream, code, params)
     assert trace.messages == tuple(msgs)
     diagonals = {t - j for t in loss if t < len(msgs) for j in range(code.k)}
     erased_sets = {tuple(j for j in range(9) if d + j in loss) for d in diagonals}
-    assert len(reductions) == len(erased_sets) < len(diagonals)
+    assert [a[1] for a in calls["_rref"]] == [code.h.data]
+    pivoted = [tuple(a[2]) for a in calls["_pivot_map"]]
+    assert sorted(pivoted) == sorted(erased_sets) and len(pivoted) < len(diagonals)
+    assert calls["_recovery"] == []
 
 
 # q = 2^m rejects about half the words; q = 65536 keeps 17 bits, a shift of 15
-_DRAW_FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 16, 17, 31, 32, 127, 128, 256, 257, 1024, 65521, 65536)
+# 243 and 251 are the largest fields below 256, the top of the one-byte draws
+_DRAW_FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 16, 17, 31, 32, 127, 128, 243, 251, 256, 257, 1024,
+                65521, 65536)
 # simulate seeds the payload with seed ^ salt, which is negative for a negative seed
 _DRAW_SEEDS = tuple(s ^ streaming._MESSAGE_SEED_SALT for s in (0, 1, 11, -1, -977, 2**40 + 3))
 
@@ -591,7 +597,7 @@ def test_uniform_draws_are_randrange_draw_for_draw(q, monkeypatch):
             assert streaming._uniform_draws(seed, q, count) == _randrange_draws(seed, q, count)
 
 
-@pytest.mark.parametrize("q", (2, 9, 257, 65536))
+@pytest.mark.parametrize("q", (2, 9, 251, 257, 65536))
 def test_uniform_draws_past_one_full_chunk(q):
     count = streaming._CHUNK_WORDS + 1000
     seed = -977 ^ streaming._MESSAGE_SEED_SALT
