@@ -726,17 +726,36 @@ def _rref(field: Field, rows) -> list[tuple[int, list[int] | bytes]]:
     )
 
 
-def _recovery(field: Field, rows, wanted):
-    """(M, C) from the RREF [I M; 0 C] of rows with the wanted columns moved
-    first and the rest kept in order: rows·v = 0 iff v[wanted] = -M·v[rest]
-    and C·v[rest] = 0; None when the wanted columns are dependent."""
-    wanted = list(wanted)
-    k = len(wanted)
-    order = wanted + [j for j in range(len(rows[0])) if j not in wanted]
-    rref = _rref(field, [[row[j] for j in order] for row in rows])
-    if [lead for lead, _ in rref[:k]] != list(range(k)):
-        return None
-    return [row[k:] for _, row in rref[:k]], [row[k:] for _, row in rref[k:]]
+def _recovery(field: Field, rref, wanted):
+    """(M, C) for the wanted columns, in the given order, from rref, an RREF
+    as _rref gives it: rows·v = 0 iff v[wanted] = -M·v[rest] and
+    C·v[rest] = 0, with the rest in order; None when the wanted columns are
+    dependent.
+
+    Each wanted column w that is not already a lead is pivoted into the
+    first row that is nonzero at w and led by a column not wanted: that row
+    is scaled to 1 at w and the others reduced against it. Every row stays 1
+    at its lead and every other row 0 there, so with no such row w's column
+    is a combination of the wanted leads' columns. Otherwise the rows led by
+    wanted columns are [I M] and the rest [0 C], C of rank
+    rank - |wanted|. M is unique only modulo C.
+    """
+    leads, rows = [lead for lead, _ in rref], [row for _, row in rref]
+    for w in wanted:
+        if w in leads:
+            continue
+        i = next((i for i, (lead, row) in enumerate(zip(leads, rows))
+                  if row[w] and lead not in wanted), None)
+        if i is None:
+            return None
+        pivot = field.scale(field.inv(rows[i][w]), rows[i])
+        rows = [pivot if j == i else _reduce(field, [(w, pivot)], row)
+                for j, row in enumerate(rows)]
+        leads[i] = w
+    rest = [j for j in range(len(rows[0])) if j not in wanted] if rows else []
+    led = dict(zip(leads, rows))
+    return ([[led[w][j] for j in rest] for w in wanted],
+            [[row[j] for j in rest] for lead, row in led.items() if lead not in wanted])
 
 
 def mat_rank(m: Matrix) -> int:
@@ -806,7 +825,7 @@ def _first_dependent(h: Matrix, supports):
 def columns_independent(m: Matrix, cols) -> bool:
     """True iff the selected columns of m are linearly independent."""
     cols = list(cols)
-    if len(cols) > m.nrows:
+    if len(cols) > _instance(m, Matrix, "m").nrows:
         return False
     return vectors_independent(m.field, [m.col(j) for j in cols])
 
@@ -824,13 +843,16 @@ def systematic_form(m: Matrix, side: str = "left") -> Matrix:
     nr, nc = m.nrows, m.ncols
     if nr > nc:
         raise DimensionMismatch("more rows than columns")
-    s = 0 if side == "left" else nc - nr  # rotate the block to the front
-    rref = _rref(f, [r[s:] + r[:s] for r in m.data])
-    leads = [lead for lead, _ in rref]
-    if leads != list(range(nr)):
-        pc = next(i for i in range(nr) if i not in leads)
-        raise SingularBlock(f"designated block is singular at column {s + pc}")
-    return _matrix(f, [r[nc - s :] + r[: nc - s] for _, r in rref])
+    s = 0 if side == "left" else nc - nr
+    block = range(s, s + nr)
+    recovery = _recovery(f, _rref(f, m.data), block)
+    if recovery is None:  # the first block column that depends on those before it
+        basis: list = []
+        pc = next(j for j in block if not _push(f, basis, m.col(j)))
+        raise SingularBlock(f"designated block is singular at column {pc}")
+    # row i is 1 at block column s + i and M's row i on the other columns
+    return _matrix(f, [x[:s] + [int(j == i) for j in range(nr)] + x[s:]
+                       for i, x in enumerate(recovery[0])])
 
 
 def solve_for_columns(h: Matrix, cols, syndrome) -> list[int]:
@@ -840,17 +862,17 @@ def solve_for_columns(h: Matrix, cols, syndrome) -> list[int]:
     DimensionMismatch on shape errors, and InconsistentSyndrome when the
     (possibly overdetermined) system has no solution.
     """
+    f = _instance(h, Matrix, "h").field
     cols = list(cols)
     if len(set(cols)) != len(cols) or any(not 0 <= c < h.ncols for c in cols):
         raise DimensionMismatch("column indices must be distinct and in range")
     syndrome = list(syndrome)
     if len(syndrome) != h.nrows:
         raise DimensionMismatch("syndrome length must equal the row count")
-    f = h.field
     _check_elements(f, (syndrome,))
     aug = [[row[c] for c in cols] + [v] for row, v in zip(h.data, syndrome)]
     # [H_E | s]·(x, -1) = 0: x = M's one column, and any row of C is [c != 0]
-    recovery = _recovery(f, aug, range(len(cols)))
+    recovery = _recovery(f, _rref(f, aug), range(len(cols)))
     if recovery is None:
         raise DependentColumns("selected columns are linearly dependent")
     m, c = recovery

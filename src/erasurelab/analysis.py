@@ -56,7 +56,7 @@ from .channel import (
     _supports,
     _two_bursts,
 )
-from .codes import CyclicCode, LinearCode, min_distance
+from .codes import CyclicCode, LinearCode, _code_attrs, min_distance
 from .errors import (
     BadParameters,
     OutOfScope,
@@ -177,14 +177,14 @@ def mds_subblock_check(code: LinearCode, b: int, e: int) -> bool:
     """
     if _json_int(b, "b") < 1 or _json_int(e, "e") < 1:
         raise BadParameters(f"need b, e >= 1, got b={b}, e={e}")
-    h = code.h
+    h, n = _code_attrs(code, "h", "n")
     if h.nrows != b + e:
         raise BadParameters(f"need n-k = b+e = {b + e}, got {h.nrows} parity rows")
     if not columns_independent(h, range(b)):
         raise StructureViolation("first b columns are linearly dependent")
-    if math.comb(code.n - b, e) > _SUBSET_CAP:
-        raise TooLarge(f"C({code.n - b},{e}) column subsets exceed the cap")
-    family = (tuple(range(b)) + s for s in itertools.combinations(range(b, code.n), e))
+    if math.comb(n - b, e) > _SUBSET_CAP:
+        raise TooLarge(f"C({n - b},{e}) column subsets exceed the cap")
+    family = (tuple(range(b)) + s for s in itertools.combinations(range(b, n), e))
     return _first_dependent(h, family)[1] is None
 
 

@@ -21,10 +21,11 @@ from .algebra import (
     _instance,
     _json_int,
     _recovery,
+    _rref,
     _tuple,
     columns_independent,
 )
-from .codes import LinearCode
+from .codes import LinearCode, _code_attrs
 from .errors import (
     BadParameters,
     DivisibilityViolation,
@@ -342,14 +343,14 @@ def decode_erasures(code: LinearCode, received) -> list[int]:
     Raises Unrecoverable when the erased columns are dependent and
     InconsistentSyndrome when the known symbols already contradict the code.
     """
+    f, h, n = _code_attrs(code, "field", "h", "n")
     received = list(_tuple(received, "received word is not a list"))
-    if len(received) != code.n:
-        raise LengthMismatch(f"received word has length {len(received)}, n={code.n}")
-    f = code.field
+    if len(received) != n:
+        raise LengthMismatch(f"received word has length {len(received)}, n={n}")
     erased = [i for i, v in enumerate(received) if v is None]
     known = [(v,) for v in received if v is not None]
     _check_elements(f, known)
-    recovery = _recovery(f, code.h.data, erased)
+    recovery = _recovery(f, _rref(f, h.data), erased)
     if recovery is None:
         raise Unrecoverable(f"erasures at {erased} are not recoverable")
     for i, (x,) in zip(erased, _erased_values(f, recovery, known, range(len(erased)))):

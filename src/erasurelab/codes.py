@@ -104,6 +104,16 @@ class LinearCode:
         return code
 
 
+def _code_attrs(code, *names) -> list:
+    """The named attributes of code: a LinearCode, or any object that has
+    them, such as a code over an H that LinearCode refuses. Anything else
+    is rejected."""
+    try:
+        return [getattr(code, name) for name in names]
+    except AttributeError:
+        raise BadParameters(f"code must be LinearCode, got {code!r}") from None
+
+
 class CyclicCode(LinearCode):
     """A cyclic [n, k] code carrying the polynomial its banded H is built from."""
 
@@ -122,12 +132,10 @@ def generator_matrix(code: LinearCode) -> Matrix:
     reduced row echelon form. A message u on the other columns takes -M·u on
     the parity columns, M from _recovery.
     """
-    f, n = code.field, code.n
-    if code.systematic:
-        parity = list(range(code.k, n))
-    else:
-        parity = [lead for lead, _ in _rref(f, code.h.data)]
-    m, _ = _recovery(f, code.h.data, parity)
+    f, h, k, n, systematic = _code_attrs(code, "field", "h", "k", "n", "systematic")
+    rref = _rref(f, h.data)
+    parity = list(range(k, n)) if systematic else [lead for lead, _ in rref]
+    m, _ = _recovery(f, rref, parity)
     free = [j for j in range(n) if j not in parity]
     basis = []
     for i, j in enumerate(free):

@@ -14,9 +14,10 @@ erased-symbol solver: parity = erased symbols solved through the parity
 map, for every diagonal at once. A diagonal's recoverability depends only
 on which of its positions were erased, so the decoder plans the diagonals
 to decode on erased sets alone. It reduces H once per call, pivots each
-distinct erased set into that reduction (_pivot_map), and solves each group
-of diagonals that share an erased set from that one map. Symbols are
-checked once, when a PacketStream is built from outside the package.
+distinct erased set into that reduction for its erasure map (_recovery,
+the one map builder), and solves each group of diagonals that share an
+erased set from that one map. Symbols are checked once, when a
+PacketStream is built from outside the package.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .algebra import (
     _instance,
     _json_int,
     _recovery,
-    _reduce,
     _rref,
     _tuple,
     field_make,
@@ -46,7 +46,7 @@ from .channel import (
     _mask_admissible,
     _verify_windows,
 )
-from .codes import LinearCode
+from .codes import LinearCode, _code_attrs
 from .errors import (
     BadParameters,
     BadProbability,
@@ -147,13 +147,10 @@ def _parity_map(code: LinearCode):
     """The erasure map of the last n-k positions: a diagonal's parity symbols
     solved as erased ones. NotSystematic when their columns of H are
     dependent, i.e. when the code has no generator [I_k | P]."""
-    try:
-        parity, systematic = range(code.k, code.n), code.systematic
-    except AttributeError:
-        raise BadParameters(f"code must be LinearCode, got {code!r}") from None
+    f, h, k, n, systematic = _code_attrs(code, "field", "h", "k", "n", "systematic")
     if not systematic:
         raise NotSystematic("last n-k columns of H are singular")
-    return _recovery(code.field, code.h.data, parity)
+    return _recovery(f, _rref(f, h.data), range(k, n))
 
 
 def de_encode(code: LinearCode, messages) -> PacketStream:
@@ -198,39 +195,6 @@ def _encode(code: LinearCode, recovery, columns, erased) -> PacketStream:
                   packets=packets, erased=frozenset(erased))
 
 
-def _pivot_map(field, rref, erased):
-    """(M, C) for the erased positions, in the given order, from rref, the
-    RREF of H as (lead, row) pairs: rows·v = 0 iff v[erased] = -M·v[rest] and
-    C·v[rest] = 0, with the rest in order; None when the erased columns are
-    dependent.
-
-    Each erased position e that is not already a lead is pivoted into the
-    first row that is nonzero at e and led by a known position: that row is
-    scaled to 1 at e and the others reduced against it. Every row stays 1 at
-    its lead and every other row 0 there, so with no such row e's column is
-    a combination of the erased leads' columns. Otherwise the rows led by
-    erased positions are [I M] and the rest [0 C], C of rank
-    rank H - |erased|. M is unique only modulo C and C is not reduced, so
-    this is not _recovery's RREF, but -M·y and whether C·y = 0 are the same.
-    """
-    leads, rows = [lead for lead, _ in rref], [row for _, row in rref]
-    for e in erased:
-        if e in leads:
-            continue
-        i = next((i for i, (lead, row) in enumerate(zip(leads, rows))
-                  if row[e] and lead not in erased), None)
-        if i is None:
-            return None
-        pivot = field.scale(field.inv(rows[i][e]), rows[i])
-        rows = [pivot if j == i else _reduce(field, [(e, pivot)], row)
-                for j, row in enumerate(rows)]
-        leads[i] = e
-    rest = [j for j in range(len(rows[0])) if j not in erased]
-    led = dict(zip(leads, rows))
-    return ([[led[e][j] for j in rest] for e in erased],
-            [[row[j] for j in rest] for lead, row in led.items() if lead not in erased])
-
-
 def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -> DecodeTrace:
     """Decode every message packet from the diagonals crossing it.
 
@@ -242,8 +206,8 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
     Whether a diagonal is recoverable depends only on which of its positions
     were erased. So the diagonals to decode are planned on erased sets alone
     and grouped by erased set. H is reduced once per call, each distinct
-    erased set is pivoted into that reduction (_pivot_map), and each group is
-    solved at once from its map. Raises InconsistentSyndrome when the known
+    erased set is pivoted into that reduction for its map (_recovery), and
+    each group is solved at once from its map. Raises InconsistentSyndrome when the known
     symbols of a planned diagonal contradict the code.
     """
     _instance(stream, PacketStream, "stream")
@@ -270,7 +234,7 @@ def de_decode(stream: PacketStream, code: LinearCode, params: StreamingParams) -
                 erased = masks[d] = (lost >> d if d >= 0 else lost << -d) & full
                 if erased not in maps:
                     positions = [i for i in range(n) if erased >> i & 1]
-                    maps[erased] = _pivot_map(code.field, rref, positions)
+                    maps[erased] = _recovery(code.field, rref, positions)
                 if maps[erased] is not None:
                     groups.setdefault(erased, []).append(d)
             if maps[erased] is None:

@@ -16,6 +16,7 @@ from erasurelab.algebra import (
     _push,
     _recovery,
     _reduce,
+    _rref,
     columns_independent,
     field_make,
     mat_rank,
@@ -231,7 +232,7 @@ def test_values_leaving_the_package_are_ints(q):
     generator_matrix reads hold ints only, for every row family."""
     f = field_make(q)
     code = mds_code(6, 3, q=q)
-    m, _ = _recovery(f, code.h.data, range(3, 6))
+    m, _ = _recovery(f, _rref(f, code.h.data), range(3, 6))
     assert _only_ints([[row[i] for i in range(3)] for row in m])
     assert _only_ints(generator_matrix(code).data)
     assert _only_ints(systematic_form(code.h, side="right").data)

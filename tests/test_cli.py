@@ -18,6 +18,7 @@ import pytest
 from erasurelab.algebra import (
     Matrix,
     Poly,
+    columns_independent,
     field_make,
     mat_rank,
     poly_divides,
@@ -52,6 +53,7 @@ from erasurelab.codes import (
     LinearCode,
     construction_one,
     cyclic_from_h,
+    generator_matrix,
     mds_code,
     min_distance,
 )
@@ -865,6 +867,11 @@ def _edited_cyclic_file():
     ("systematic_form('x')", BadParameters),
     ("min_distance('x')", BadParameters),
     ("sparsify_construction_one('x')", BadParameters),
+    ("decode_erasures('x', [None])", BadParameters),
+    ("generator_matrix('x')", BadParameters),
+    ("mds_subblock_check('x', 1, 1)", BadParameters),
+    ("columns_independent('x', [0])", BadParameters),
+    ("solve_for_columns('x', [0], [1])", BadParameters),
 ])
 def test_guards_raise_typed_errors(capsys, tmp_path, call, error):
     """Library calls raise the typed error; CLI runs (argv lists, with CODE a

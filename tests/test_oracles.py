@@ -73,7 +73,6 @@ from erasurelab.streaming import (
     PacketStream,
     PeriodicSource,
     StreamingParams,
-    _pivot_map,
     de_decode,
     de_encode,
     simulate,
@@ -267,67 +266,41 @@ def test_erasure_map_matches_syndrome_decoder(q):
 
 @pytest.mark.parametrize("q", (16, 256, 257))  # one field per row family
 def test_recovery_is_none_exactly_when_the_wanted_columns_are_dependent(q):
-    """_recovery answers None exactly when columns_independent says the
-    wanted columns are dependent. Otherwise (M, C) is the decoders' map:
-    [I M; 0 C] annihilates the reference null space of H (wanted columns
-    first, the rest in order), has H's rank, and is in reduced row echelon
-    form, which makes it the one RREF of H in that column order."""
+    """_recovery, on the RREF of H, answers None exactly when
+    columns_independent says the wanted columns are dependent: on full-rank
+    H, non-systematic ones included, on rank-deficient H, as
+    solve_for_columns's [H_E | s] rows often are, and on all-zero rows,
+    whose RREF is empty. Otherwise -M·x_rest = x_wanted and C·x_rest = 0 for
+    every reference null-space vector x, and C has independent rows, with
+    |M| + |C| = rank H, so (M, C) is a map of exactly H's null space."""
     rng = random.Random(7000 + q)
     f = field_make(q)
-    dependent = 0
-    for code in _erasure_codes(rng, q):
+    zero = _stand_in(Matrix(f, [[0] * 5] * 2), 3)
+    dependent = non_systematic = deficient = 0
+    for code in [*_erasure_codes(rng, q), zero]:
         h, n = code.h, code.n
-        for wanted in (rng.sample(range(n), rng.randint(0, n)) for _ in range(6)):
+        r = oracles.mat_rank(h)
+        non_systematic += not code.systematic
+        deficient += r < h.nrows
+        rref = _rref(f, h.data)
+        samples = [rng.sample(range(n), rng.randint(0, n)) for _ in range(6)]
+        if code is zero:
+            samples += [[], [n - 1, 0]]
+        for wanted in samples:
             rest = [j for j in range(n) if j not in wanted]
-            recovery = _recovery(f, h.data, wanted)
+            recovery = _recovery(f, rref, wanted)
             assert (recovery is None) == (not columns_independent(h, wanted))
             if recovery is None:
                 dependent += 1
                 continue
-            m, c = ([list(row) for row in part] for part in recovery)
-            assert len(m) == len(wanted) and len(m) + len(c) == oracles.mat_rank(h)
+            m, c = recovery
+            assert len(m) == len(wanted) and len(m) + len(c) == r
+            assert (oracles.mat_rank(Matrix(f, c)) if c else 0) == len(c)
             for x in oracles.nullspace_generator(code).data:
                 y = [x[j] for j in rest]
                 assert [f.neg(_ref_dot(f, row, y)) for row in m] == [x[i] for i in wanted]
                 assert all(_ref_dot(f, row, y) == 0 for row in c)
-            leads = [next(j for j, v in enumerate(row) if v) for row in c]
-            assert leads == sorted(set(leads)) and all(c[i][j] == 1 for i, j in enumerate(leads))
-            assert all(row[j] == 0 for j in leads for row in m)
-            assert all(row[j] == 0 for i, j in enumerate(leads) for row in c[:i] + c[i + 1:])
-    assert dependent
-
-
-@pytest.mark.parametrize("q", (16, 256, 257))  # one field per row family
-def test_pivot_map_is_none_exactly_when_the_erased_columns_are_dependent(q):
-    """The stream decoder's _pivot_map, on the RREF of a random full-rank H,
-    answers None exactly when columns_independent says the erased columns
-    are dependent. Otherwise -M·x_rest = x_E and C·x_rest = 0 for every
-    reference null-space vector x, and rank C = r - |E|."""
-    rng = random.Random(7100 + q)
-    f = field_make(q)
-    dependent = non_systematic = 0
-    for code in _erasure_codes(rng, q):
-        h, n = code.h, code.n
-        r = oracles.mat_rank(h)
-        if r < h.nrows:
-            continue
-        non_systematic += not code.systematic
-        rref = _rref(f, h.data)
-        for erased in (rng.sample(range(n), rng.randint(0, n)) for _ in range(6)):
-            rest = [j for j in range(n) if j not in erased]
-            pivoted = _pivot_map(f, rref, erased)
-            assert (pivoted is None) == (not columns_independent(h, erased))
-            if pivoted is None:
-                dependent += 1
-                continue
-            m, c = pivoted
-            assert len(m) == len(erased)
-            assert (oracles.mat_rank(Matrix(f, c)) if c else 0) == r - len(erased)
-            for x in oracles.nullspace_generator(code).data:
-                y = [x[j] for j in rest]
-                assert [f.neg(_ref_dot(f, row, y)) for row in m] == [x[i] for i in erased]
-                assert all(_ref_dot(f, row, y) == 0 for row in c)
-    assert dependent and non_systematic
+    assert dependent and non_systematic and deficient
 
 
 def test_de_decode_flags_a_tampered_parity_symbol():

@@ -289,6 +289,13 @@ def test_only_the_kernels_read_submul():
     }
 
 
+def test_only_the_pivot_kernels_read_scale():
+    """A row is scaled to 1 at a new lead only where a pivot is placed: the
+    basis push, the independence walk and the one erasure-map builder, so
+    no second (M, C) builder creeps in beside _recovery."""
+    assert _readers("scale") == {"_push", "_first_dependent", "_recovery"}
+
+
 def test_row_primitives_are_submul_and_scale():
     """A field carries two row primitives: each row family returns exactly
     ``(submul, scale)``, and the row members of ``Field.__slots__`` (the

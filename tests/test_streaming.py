@@ -553,26 +553,32 @@ def test_loss_sources_reject_non_integer_counts_and_seeds(run, what):
 def test_de_decode_reduces_h_once_and_pivots_each_erased_set_once(monkeypatch):
     """A periodic loss repeats one erased set on the diagonals every period;
     a de_decode call reduces H once and pivots each distinct set into that
-    reduction once, with no _recovery of its own."""
+    one reduction once."""
     ch = ChannelParams(1, 2, 2, 9)
     code = mds_code(9, 4)
     params = StreamingParams(ch, 8)
     loss = set(periodic_pattern(ch, 20))
     msgs = _random_messages(code.k, code.field.q, 20 * 9 - 8, seed=3)
     stream = dataclasses.replace(de_encode(code, msgs), erased=loss)
-    calls = {"_rref": [], "_pivot_map": [], "_recovery": []}
+    calls = {"_rref": [], "_recovery": []}
+
+    def spy(log, real):
+        def call(*args):  # logs each call's arguments and result
+            log.append((args, real(*args)))
+            return log[-1][1]
+        return call
+
     for name, log in calls.items():
-        real = getattr(streaming, name)
-        monkeypatch.setattr(streaming, name,
-                            lambda *a, log=log, real=real: log.append(a) or real(*a))
+        monkeypatch.setattr(streaming, name, spy(log, getattr(streaming, name)))
     trace = de_decode(stream, code, params)
     assert trace.messages == tuple(msgs)
     diagonals = {t - j for t in loss if t < len(msgs) for j in range(code.k)}
     erased_sets = {tuple(j for j in range(9) if d + j in loss) for d in diagonals}
-    assert [a[1] for a in calls["_rref"]] == [code.h.data]
-    pivoted = [tuple(a[2]) for a in calls["_pivot_map"]]
+    [((_, rows), rref)] = calls["_rref"]
+    assert rows == code.h.data
+    pivoted = [tuple(a[2]) for a, _ in calls["_recovery"]]
     assert sorted(pivoted) == sorted(erased_sets) and len(pivoted) < len(diagonals)
-    assert calls["_recovery"] == []
+    assert all(a[1] is rref for a, _ in calls["_recovery"])
 
 
 # q = 2^m rejects about half the words; q = 65536 keeps 17 bits, a shift of 15
