@@ -303,6 +303,40 @@ def test_recovery_is_none_exactly_when_the_wanted_columns_are_dependent(q):
     assert dependent and non_systematic and deficient
 
 
+@pytest.mark.parametrize("q", (16, 256, 257))  # one field per row family
+def test_pivot_map_is_none_exactly_when_the_erased_columns_are_dependent(q):
+    """The stream decoder's erasure map, _recovery on the RREF of a random
+    full-rank H, answers None exactly when columns_independent says the
+    erased columns are dependent. Otherwise -M·x_rest = x_E and
+    C·x_rest = 0 for every reference null-space vector x, and
+    rank C = r - |E|."""
+    rng = random.Random(7100 + q)
+    f = field_make(q)
+    dependent = non_systematic = 0
+    for code in _erasure_codes(rng, q):
+        h, n = code.h, code.n
+        r = oracles.mat_rank(h)
+        if r < h.nrows:
+            continue
+        non_systematic += not code.systematic
+        rref = _rref(f, h.data)
+        for erased in (rng.sample(range(n), rng.randint(0, n)) for _ in range(6)):
+            rest = [j for j in range(n) if j not in erased]
+            pivoted = _recovery(f, rref, erased)
+            assert (pivoted is None) == (not columns_independent(h, erased))
+            if pivoted is None:
+                dependent += 1
+                continue
+            m, c = pivoted
+            assert len(m) == len(erased)
+            assert (oracles.mat_rank(Matrix(f, c)) if c else 0) == r - len(erased)
+            for x in oracles.nullspace_generator(code).data:
+                y = [x[j] for j in rest]
+                assert [f.neg(_ref_dot(f, row, y)) for row in m] == [x[i] for i in erased]
+                assert all(_ref_dot(f, row, y) == 0 for row in c)
+    assert dependent and non_systematic
+
+
 def test_de_decode_flags_a_tampered_parity_symbol():
     """One parity symbol changed on a diagonal through a lost message: the
     decoder raises the reference decoder's error on that diagonal."""
